@@ -6,7 +6,7 @@ port and drives it with the closed-loop load generator
 ``scripts/service_loadgen.py``): N client threads over kept-alive
 connections, each sending its next ``POST /recover/batch`` only after
 the previous answered.  A warm-up pass populates the engine's
-memoization and the served-answer cache first, so the gate measures
+decision rows and the served-answer cache first, so the gate measures
 steady state.
 
 Three configurations run, and each must sustain at least 20,000
@@ -69,7 +69,7 @@ def _measure(workers: int, words_per_request: int, words):
     )
     service.catalog.preload([CONTEXT])  # before start: shards fork warm
     with service:
-        # Warm-up: populate syndrome/context memoization and the
+        # Warm-up: populate the engines' decision rows and the
         # served-answer cache so the gate measures steady state, not
         # first-touch compute.
         run_load(

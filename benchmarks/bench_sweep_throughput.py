@@ -1,24 +1,23 @@
-"""Sweep-throughput benchmark: the acceleration stack's report card.
+"""Sweep-throughput benchmark: decode table vs reference oracle.
 
 Measures ``recover()``/second on the Fig. 8 workload (filter-and-rank
 strategy, exhaustive double-bit patterns over a synthetic image) for
-three engine configurations:
+three sweep configurations:
 
-- **serial-uncached** — all memoization disabled (``cache=False``),
-  the cost model of the original implementation;
-- **memoized** — syndrome-keyed enumeration plus filter/ranker context
-  caches (the default configuration);
-- **parallel** — memoized engines fanned out over worker processes
+- **reference** — ``DueSweep(cache=False)``: the engine's oracle,
+  one full enumerate → filter → rank → choose pipeline per word;
+- **table** — ``DueSweep()`` (the default): every pattern served from
+  the code's decode table, one decision per message;
+- **parallel** — table sweeps fanned out over worker processes
   (``jobs=2``; chunk setup dominates on small hosts, so no scaling is
   asserted — the parallel row is recorded for cross-host comparison).
 
-The memoized configuration is asserted to reach at least 3x the
-uncached throughput, and every run appends a record to
-``BENCH_sweep.json`` at the repo root so regressions are visible in
-history.  A measurement under the floor is re-taken (up to three
-attempts, best speedup wins) so scheduler noise on a loaded CI host
-cannot fail the gate — the floor itself never loosens.  See
-``docs/performance.md`` for what each layer does.
+The table configuration is asserted to reach at least 3x the reference
+throughput, and every run appends a record to ``BENCH_sweep.json`` at
+the repo root so regressions are visible in history.  A measurement
+under the floor is re-taken (up to three attempts, best speedup wins)
+so scheduler noise on a loaded CI host cannot fail the gate — the
+floor itself never loosens.  See ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from repro.analysis.sweep import DueSweep, RecoveryStrategy
 from repro.ecc.channel import double_bit_patterns
 from repro.program.synth import synthesize_benchmark
 
-MIN_MEMOIZED_SPEEDUP = 3.0
+MIN_TABLE_SPEEDUP = 3.0
 PARALLEL_JOBS = 2
 ATTEMPTS = 3  # re-measure on a noisy host; best speedup is the verdict
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
@@ -64,33 +63,31 @@ def _append_history(record) -> None:
     RESULTS_PATH.write_text(json.dumps(history, indent=2) + "\n")
 
 
-def test_memoized_sweep_at_least_3x_uncached(code, scale):
+def test_table_sweep_at_least_3x_reference(code, scale):
     window = scale.instructions
     image = synthesize_benchmark("mcf", length=scale.image_length)
     num_patterns = len(double_bit_patterns(code.n))
 
     attempts = []
     for _ in range(ATTEMPTS):
-        uncached_rps, recovers, uncached_s = _throughput(
+        reference_rps, recovers, reference_s = _throughput(
             code, image, window, cache=False
         )
-        memoized_rps, _, memoized_s = _throughput(
-            code, image, window, cache=True
-        )
+        table_rps, _, table_s = _throughput(code, image, window, cache=True)
         attempts.append(
-            (memoized_rps / uncached_rps,
-             uncached_rps, recovers, uncached_s, memoized_rps, memoized_s)
+            (table_rps / reference_rps,
+             reference_rps, recovers, reference_s, table_rps, table_s)
         )
-        if attempts[-1][0] >= MIN_MEMOIZED_SPEEDUP:
+        if attempts[-1][0] >= MIN_TABLE_SPEEDUP:
             break  # a clean measurement is the verdict
 
-    (memoized_speedup, uncached_rps, recovers, uncached_s,
-     memoized_rps, memoized_s) = max(attempts)
+    (table_speedup, reference_rps, recovers, reference_s,
+     table_rps, table_s) = max(attempts)
     parallel_rps, _, parallel_s = _throughput(
         code, image, window, cache=True, jobs=PARALLEL_JOBS
     )
 
-    parallel_speedup = parallel_rps / uncached_rps
+    parallel_speedup = parallel_rps / reference_rps
 
     record = {
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -101,11 +98,11 @@ def test_memoized_sweep_at_least_3x_uncached(code, scale):
             "patterns": num_patterns,
             "recovers": recovers,
         },
-        "serial_uncached_rps": round(uncached_rps, 1),
-        "memoized_rps": round(memoized_rps, 1),
+        "serial_reference_rps": round(reference_rps, 1),
+        "table_rps": round(table_rps, 1),
         "parallel_rps": round(parallel_rps, 1),
         "parallel_jobs": PARALLEL_JOBS,
-        "memoized_speedup": round(memoized_speedup, 2),
+        "table_speedup": round(table_speedup, 2),
         "parallel_speedup": round(parallel_speedup, 2),
     }
     _append_history(record)
@@ -117,11 +114,11 @@ def test_memoized_sweep_at_least_3x_uncached(code, scale):
                 f"workload         : {recovers} recovers "
                 f"({num_patterns} patterns x {window} instructions, "
                 f"{image.name})",
-                f"serial uncached  : {uncached_rps:10.0f}/s "
-                f"({uncached_s * 1e3:8.1f} ms)",
-                f"memoized         : {memoized_rps:10.0f}/s "
-                f"({memoized_s * 1e3:8.1f} ms, "
-                f"{memoized_speedup:.2f}x)",
+                f"reference        : {reference_rps:10.0f}/s "
+                f"({reference_s * 1e3:8.1f} ms)",
+                f"table            : {table_rps:10.0f}/s "
+                f"({table_s * 1e3:8.1f} ms, "
+                f"{table_speedup:.2f}x)",
                 f"parallel (j={PARALLEL_JOBS})   : {parallel_rps:10.0f}/s "
                 f"({parallel_s * 1e3:8.1f} ms, "
                 f"{parallel_speedup:.2f}x)",
@@ -130,8 +127,7 @@ def test_memoized_sweep_at_least_3x_uncached(code, scale):
         ),
     )
 
-    assert memoized_speedup >= MIN_MEMOIZED_SPEEDUP, (
-        f"memoized sweep is only {memoized_speedup:.2f}x the uncached "
-        f"baseline; the acceleration stack promises >= "
-        f"{MIN_MEMOIZED_SPEEDUP:.1f}x"
+    assert table_speedup >= MIN_TABLE_SPEEDUP, (
+        f"table sweep is only {table_speedup:.2f}x the reference "
+        f"oracle; the decode table promises >= {MIN_TABLE_SPEEDUP:.1f}x"
     )

@@ -285,8 +285,8 @@ def check_worker_kill_respawn(failures: list[str]) -> None:
         if family not in families:
             failures.append(f"/metrics is missing per-shard {family}")
 
-    # Decode-table precompilation: each serving worker builds its
-    # table at fork (ShardSpec.precompile defaults on), and the build
+    # Decode tables: each serving worker builds its code's table when
+    # the shard initializer pre-warms its engines, and the build
     # counters/histogram ship to the parent with the worker's first
     # delta — so the parent's strict-parsed /metrics must carry the
     # full decode_table_* group with internally consistent values.

@@ -11,12 +11,11 @@ probability that the strategy picks the original message — rather than
 a single sampled tie-break, so sweep output is deterministic and equals
 the expectation of the paper's sampled procedure.
 
-Two acceleration layers sit under the sweep (see
-``docs/performance.md``): the engine's syndrome-memoized enumeration
-and filter/rank caches make the serial path fast, and ``jobs > 1``
-fans pattern chunks out over worker processes with a deterministic
-merge — parallel results are bit-identical to serial ones, and worker
-metrics are folded back into the parent registry.
+Two things make the sweep fast (see ``docs/performance.md``): the
+engine serves every pattern from the code's decode table, and
+``jobs > 1`` fans pattern chunks out over worker processes with a
+deterministic merge — parallel results are bit-identical to serial
+ones, and worker metrics are folded back into the parent registry.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from repro.analysis.parallel import chunk_evenly, parallel_map
 from repro.core.filters import InstructionLegalityFilter
 from repro.core.rankers import FrequencyRanker, UniformRanker
 from repro.core.sideinfo import RecoveryContext
-from repro.core.swdecc import SwdEcc, TieBreak, success_probability
+from repro.core.swdecc import SwdEcc, TieBreak
 from repro.ecc.channel import ErrorPattern, double_bit_patterns
 from repro.ecc.code import LinearBlockCode
 from repro.errors import AnalysisError
@@ -64,18 +63,14 @@ class RecoveryStrategy(enum.Enum):
 
 
 def _engine_for(
-    strategy: RecoveryStrategy,
-    code: LinearBlockCode,
-    cache: bool = True,
-    precompile: bool = False,
+    strategy: RecoveryStrategy, code: LinearBlockCode, cache: bool = True
 ) -> SwdEcc:
     # The sweep consumes exact probabilities, so the tie-break RNG is
     # never sampled; a fixed instance keeps construction cheap.
     rng = random.Random(0)
     if strategy is RecoveryStrategy.RANDOM_CANDIDATE:
         return SwdEcc(
-            code, filters=(), ranker=UniformRanker(), rng=rng, cache=cache,
-            precompile=precompile,
+            code, filters=(), ranker=UniformRanker(), rng=rng, cache=cache
         )
     if strategy is RecoveryStrategy.FILTER_ONLY:
         return SwdEcc(
@@ -84,16 +79,14 @@ def _engine_for(
             ranker=UniformRanker(),
             rng=rng,
             cache=cache,
-            precompile=precompile,
         )
     return SwdEcc(
         code,
         filters=(InstructionLegalityFilter(),),
-        ranker=FrequencyRanker(cache=cache),
+        ranker=FrequencyRanker(),
         tie_break=TieBreak.RANDOM,
         rng=rng,
         cache=cache,
-        precompile=precompile,
     )
 
 
@@ -145,14 +138,9 @@ class DueSweep:
         Error patterns to apply; defaults to all C(n, 2) double-bit
         patterns in paper order.
     cache:
-        Enable the engine's memoization layers (default); disable only
-        for uncached baseline measurements.
-    precompile:
-        Build the engine's full syndrome decode table before sweeping
-        (see :meth:`SwdEcc.precompile`).  Results are bit-identical
-        either way; the sweep's vectorized kernel already amortizes
-        enumeration per pattern, so this mainly helps the uncached-
-        comparison and recover_batch paths.
+        Sweep on the code's decode table (default); ``False`` runs the
+        engine's reference oracle word by word (see :class:`SwdEcc`).
+        Results are bit-identical either way.
     """
 
     def __init__(
@@ -162,7 +150,6 @@ class DueSweep:
         num_instructions: int = 100,
         patterns: Sequence[ErrorPattern] | None = None,
         cache: bool = True,
-        precompile: bool = False,
     ) -> None:
         if num_instructions < 1:
             raise AnalysisError(
@@ -172,7 +159,6 @@ class DueSweep:
         self._strategy = strategy
         self._num_instructions = num_instructions
         self._cache = cache
-        self._precompile = precompile
         self._patterns = (
             tuple(patterns) if patterns is not None
             else tuple(double_bit_patterns(code.n))
@@ -182,9 +168,7 @@ class DueSweep:
                 raise AnalysisError(
                     f"pattern width {pattern.width} != code length {code.n}"
                 )
-        self._engine = _engine_for(
-            strategy, code, cache=cache, precompile=precompile
-        )
+        self._engine = _engine_for(strategy, code, cache=cache)
 
     @property
     def patterns(self) -> tuple[ErrorPattern, ...]:
@@ -210,42 +194,20 @@ class DueSweep:
         context = RecoveryContext.for_instructions(
             FrequencyTable.from_image(image)
         )
-        code = self._code
-        engine = self._engine
         originals = image.words[:window]
-        if not self._cache:
-            encoded = [code.encode(word) for word in originals]
         outcomes = []
         for pattern in patterns:
             success_total = 0.0
             candidates_total = 0
             valid_total = 0
-            if self._cache:
-                # Vectorized fast path: one error pattern => one
-                # syndrome, so the engine computes the flip-pair offsets
-                # once and each word's candidates are pure XORs.
-                stats = engine.sweep_probabilities(
+            for probability, num_candidates, num_valid in (
+                self._engine.sweep_probabilities(
                     originals, pattern.vector, context
                 )
-                for probability, num_candidates, num_valid in stats:
-                    success_total += probability
-                    candidates_total += num_candidates
-                    valid_total += num_valid
-            else:
-                # Uncached baseline: full per-word recover() calls, the
-                # original cost model the throughput benchmark compares
-                # against.
-                results = engine.recover_batch(
-                    [pattern.apply(codeword) for codeword in encoded],
-                    context,
-                )
-                for result, original in zip(results, originals):
-                    candidates_total += result.num_candidates
-                    valid_total += (
-                        result.num_valid if not result.filter_fell_back
-                        else 0
-                    )
-                    success_total += success_probability(result, original)
+            ):
+                success_total += probability
+                candidates_total += num_candidates
+                valid_total += num_valid
             outcomes.append(
                 PatternOutcome(
                     index=pattern.index,
@@ -273,7 +235,7 @@ class DueSweep:
         With ``jobs > 1`` the pattern list is split into contiguous
         chunks swept by worker processes; the merged result is
         bit-identical to the serial one, and worker metrics (recovery
-        counters, cache hit/miss totals, histograms) plus a digest of
+        and op counters, histograms) plus a digest of
         worker DUE events are aggregated into this process's registry
         and event log.
 
@@ -321,7 +283,7 @@ class DueSweep:
             if jobs > 1 and len(self._patterns) > 1:
                 payloads = [
                     (self._code, self._strategy, self._num_instructions,
-                     self._cache, self._precompile, image, chunk)
+                     self._cache, image, chunk)
                     for chunk in chunk_evenly(self._patterns, jobs)
                 ]
                 outcomes = [
@@ -388,15 +350,13 @@ class DueSweep:
 def _sweep_chunk_worker(payload) -> list[PatternOutcome]:
     """Sweep one pattern chunk in a worker process.
 
-    Module-level so it pickles; rebuilds the sweep (and its engine,
-    with fresh caches) from plain data because engines hold
-    process-local metric objects that must bind to the worker registry.
+    Module-level so it pickles; rebuilds the sweep (and its engine)
+    from plain data because engines hold process-local metric objects
+    that must bind to the worker registry.  The code arrives without
+    its decode table, which the worker rebuilds on first use.
     """
-    code, strategy, num_instructions, cache, precompile, image, patterns = (
-        payload
-    )
+    code, strategy, num_instructions, cache, image, patterns = payload
     sweep = DueSweep(
-        code, strategy, num_instructions, patterns=patterns, cache=cache,
-        precompile=precompile,
+        code, strategy, num_instructions, patterns=patterns, cache=cache
     )
     return sweep._outcomes_for(image, patterns)

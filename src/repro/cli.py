@@ -155,13 +155,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="synthetic image length in instructions")
     sweep.add_argument("--seed", type=int, default=2016,
                        help="benchmark synthesis seed (pins the image)")
-    sweep.add_argument("--no-cache", action="store_true",
-                       help="disable memoization and sweep word-by-word "
-                            "(slow reference path; logs every DUE event)")
-    sweep.add_argument("--precompile", action=argparse.BooleanOptionalAction,
-                       default=False,
-                       help="build the full syndrome decode table before "
-                            "sweeping (bit-identical results)")
     sweep.add_argument("--json", action="store_true",
                        help="emit machine-readable JSON results")
 
@@ -309,13 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
     recovery.add_argument("--cost", action="store_true",
                           help="attach per-request op-count and joule "
                           "attribution to /recover responses")
-    recovery.add_argument("--precompile",
-                          action=argparse.BooleanOptionalAction,
-                          default=True,
-                          help="pre-warm engines with precompiled syndrome "
-                          "decode tables (per worker; bit-identical "
-                          "answers — disable to serve via the reference "
-                          "path)")
     recovery.add_argument("--preload", default=None, metavar="CTX[,CTX]",
                           help="contexts to build before serving, "
                           "e.g. mcf,bzip2")
@@ -483,19 +469,11 @@ def _command_mbu(args: argparse.Namespace) -> int:
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
-    if args.no_cache and args.precompile:
-        print("sweep: --precompile requires caching (drop --no-cache)",
-              file=sys.stderr)
-        return 2
     code = default_code()
     image = synthesize_benchmark(
         args.benchmark, length=args.length, seed=args.seed
     )
-    sweep = DueSweep(
-        code, RecoveryStrategy(args.strategy), args.instructions,
-        cache=not args.no_cache,
-        precompile=args.precompile,
-    )
+    sweep = DueSweep(code, RecoveryStrategy(args.strategy), args.instructions)
     progress = _progress_for(args)
     result = sweep.run(image, jobs=args.jobs, progress=progress)
     if progress is not None:
@@ -743,7 +721,7 @@ def _command_serve_recovery(args: argparse.Namespace) -> int:
     from repro.errors import ServiceError
     from repro.service import RecoveryService, ServiceCatalog
 
-    catalog = ServiceCatalog(precompile=args.precompile)
+    catalog = ServiceCatalog()
     service = RecoveryService(
         catalog=catalog,
         host=args.host,
@@ -777,8 +755,7 @@ def _command_serve_recovery(args: argparse.Namespace) -> int:
         print(f"recovery service on {service.url} "
               f"(policy={args.policy}, max_batch={args.max_batch}, "
               f"queue_limit={args.queue_limit}, "
-              f"workers={args.workers}, "
-              f"precompile={args.precompile})", file=sys.stderr)
+              f"workers={args.workers})", file=sys.stderr)
         if args.duration is not None:
             time.sleep(args.duration)
         else:

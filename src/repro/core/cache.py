@@ -1,49 +1,43 @@
-"""Context-keyed memoization for the filter/rank hot path.
+"""Context-keyed memoization for the engine's decision rows.
 
-Filter verdicts and ranker scores are pure functions of the k-bit
-message *given a fixed* :class:`~repro.core.sideinfo.RecoveryContext`
-(contexts are frozen dataclasses; their tables never mutate).  Sweeps
-call those functions hundreds of thousands of times with one context
-per benchmark image, so a per-context ``message -> value`` memo turns
-the dominant cost — MIPS decode plus table lookups per candidate —
-into a dict hit.
+A decision row (filter verdicts, ranker scores and tie set for one
+``(syndrome, selector base)`` class, see :mod:`repro.core.swdecc`) is
+a pure function of its key *given a fixed*
+:class:`~repro.core.sideinfo.RecoveryContext` (contexts are frozen
+dataclasses; their tables never mutate).  A service replaying a warm
+word set reuses rows across requests, so a per-context ``key -> row``
+memo skips the filter/rank work for every repeat.
 
 :class:`ContextCache` keys on context *identity* (``is``), not
 equality: equality on a context would hash its frequency tables on
 every lookup, costing more than the work it saves.  The cache keeps
 one context generation at a time — rebinding to a new context clears
-it — which matches how the sweep engine uses contexts and bounds the
-memory to one workload's distinct messages.  A hard entry cap guards
-pathological churn.
+it — and a hard entry cap bounds memory under never-repeating traffic.
 
 Aliasing contract: :meth:`ContextCache.values_for` hands hot loops the
 *live* memo dict, so the cap must be enforced with an **in-place**
 ``dict.clear()`` — rebinding ``self._values`` to a fresh dict would
 leave any caller that fetched the dict earlier in the same generation
-writing into an orphaned copy, silently losing memoization (and
-skewing the ``*.cache_hit_rate`` gauges) for the rest of its loop.  A
-*context switch*, by contrast, deliberately rebinds to a fresh dict:
-a stale holder's entries belong to the dead generation and must not
-leak into the new one.
+writing into an orphaned copy, silently losing memoization for the
+rest of its loop.  A *context switch*, by contrast, deliberately
+rebinds to a fresh dict: a stale holder's entries belong to the dead
+generation and must not leak into the new one.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-__all__ = ["ContextCache", "MISSING"]
-
-#: Sentinel distinguishing "not cached" from a cached ``None``/0 value.
-MISSING = object()
+__all__ = ["ContextCache"]
 
 #: Entries per generation before the memo is dropped and restarted.
-#: 2^16 comfortably covers an exhaustive 741-pattern sweep (at most
-#: ~12 candidate messages per pattern) while bounding worst-case RAM.
-MAX_ENTRIES = 1 << 16
+#: A decision row holds about 1 KiB, so 4096 rows bound one cache at
+#: about 4 MiB while still holding a warm set of a few thousand words.
+MAX_ENTRIES = 1 << 12
 
 
 class ContextCache:
-    """A one-generation ``(context, message) -> value`` memo.
+    """A one-generation ``(context, key) -> value`` memo.
 
     The caller owns the value semantics; this class only handles
     generation tracking (context identity) and the size cap.
@@ -52,37 +46,17 @@ class ContextCache:
     __slots__ = ("_context", "_values")
 
     def __init__(self) -> None:
-        self._context: Any = MISSING
+        self._context: Any = None
         self._values: dict[int, Any] = {}
-
-    def lookup(self, context: Any, message: int) -> Any:
-        """Return the cached value for *message*, or :data:`MISSING`.
-
-        Rebinding to a different context (by identity) clears the memo.
-        """
-        if context is not self._context:
-            self._context = context
-            self._values = {}
-            return MISSING
-        return self._values.get(message, MISSING)
-
-    def store(self, message: int, value: Any) -> None:
-        """Record *value* for *message* under the current generation."""
-        if len(self._values) >= MAX_ENTRIES:
-            # In place: hot loops may hold this dict via values_for().
-            self._values.clear()
-        self._values[message] = value
 
     def values_for(self, context: Any) -> dict[int, Any]:
         """The live memo dict for *context*, for inlined hot loops.
 
-        Callers that look up many messages per call can fetch the dict
-        once and use plain ``dict.get``/``dict.__setitem__``, skipping a
-        method call per message.  Rebinding to a new context rebinds to
-        a fresh dict (old-generation holders must not pollute the new
-        context); arriving at the entry cap clears **in place**, so a
-        holder fetched earlier in the same generation keeps memoizing
-        into the live dict instead of an orphaned one.
+        Rebinding to a new context rebinds to a fresh dict (old-generation
+        holders must not pollute the new context); arriving at the entry
+        cap clears **in place**, so a holder fetched earlier in the same
+        generation keeps memoizing into the live dict instead of an
+        orphaned one.
         """
         if context is not self._context:
             self._context = context

@@ -20,7 +20,6 @@ from abc import ABC, abstractmethod
 from collections.abc import Callable, Sequence
 
 from repro.isa.decoder import is_legal
-from repro.core.cache import MISSING, ContextCache
 from repro.core.sideinfo import RecoveryContext
 from repro.obs import metrics as obs_metrics
 
@@ -41,13 +40,6 @@ class CandidateFilter(ABC):
     #: Human-readable name used in experiment reports.
     name: str = "filter"
 
-    #: True when the filter decides each message independently of the
-    #: others in the list (all built-in filters do).  Pointwise chains
-    #: are eligible for per-message verdict caching; set this False in
-    #: subclasses whose keep/drop decision depends on the whole list
-    #: (e.g. a top-k filter) to opt out of the cache.
-    pointwise: bool = True
-
     @abstractmethod
     def apply(
         self, messages: Sequence[int], context: RecoveryContext
@@ -61,10 +53,10 @@ class CandidateFilter(ABC):
     def spec_predicate(self):
         """A ``spec -> bool`` verdict function, or ``None``.
 
-        The precompiled fast path (see ``repro.ecc.decode_table``)
-        caches filter verdicts per (syndrome, selector-field) class,
-        which is only sound when the filter's keep/drop decision is a
-        pure function of the message's decoded
+        The decode-table path (see ``repro.core.swdecc``) decides
+        filter verdicts per (syndrome, selector-field) class, which is
+        only sound when the filter's keep/drop decision is a pure
+        function of the message's decoded
         :class:`~repro.isa.opcodes.InstructionSpec` (``None`` for
         illegal words) — i.e. legality-style field-local filters.
         Filters whose verdict depends on other message bits or on the
@@ -190,41 +182,14 @@ class FilterChain(CandidateFilter):
 
     Unlike the engine-level fallback, the chain itself is strict: it
     simply composes its members.  An empty chain is the identity.
-
-    When every member is pointwise (see
-    :attr:`CandidateFilter.pointwise`), the chain memoizes per-message
-    keep/drop verdicts per context (see :mod:`repro.core.cache`): a
-    legality verdict is a pure function of the message, and exhaustive
-    sweeps re-ask about the same messages hundreds of times.  Hit/miss
-    totals are exported as ``filter.cache_hits`` /
-    ``filter.cache_misses``.
-
-    Parameters
-    ----------
-    filters:
-        The member filters, applied in order.
-    cache:
-        Enable the per-message verdict memo (default).  Disable to
-        measure the uncached baseline.
     """
 
     name = "chain"
 
-    def __init__(
-        self, filters: Sequence[CandidateFilter], cache: bool = True
-    ) -> None:
+    def __init__(self, filters: Sequence[CandidateFilter]) -> None:
         self._filters = tuple(filters)
         self.name = "+".join(f.name for f in self._filters) or "identity"
-        self._cacheable = (
-            cache
-            and bool(self._filters)
-            and all(f.pointwise for f in self._filters)
-        )
-        self._verdicts = ContextCache()
-        registry = obs_metrics.get_registry()
-        self._m_hits = registry.counter("filter.cache_hits")
-        self._m_misses = registry.counter("filter.cache_misses")
-        self._m_evals = registry.counter(
+        self._m_evals = obs_metrics.get_registry().counter(
             "ops.filter_evals",
             help="Candidate messages evaluated by the filter chain",
         )
@@ -239,7 +204,7 @@ class FilterChain(CandidateFilter):
 
         Available only when *every* member provides one (an empty
         chain is the always-keep identity); any member on the
-        reference-only default disables the whole chain's fast path.
+        reference-only default disables the whole chain's table path.
         """
         predicates = []
         for candidate_filter in self._filters:
@@ -259,35 +224,7 @@ class FilterChain(CandidateFilter):
         # One batched inc per apply(); the identity chain does no work.
         if self._filters and messages:
             self._m_evals.inc(len(messages))
-        if not self._cacheable:
-            current = tuple(messages)
-            for candidate_filter in self._filters:
-                current = candidate_filter.apply(current, context)
-            return current
-        verdicts = self._verdicts.values_for(context)
-        hits = 0
-        kept = []
-        for message in messages:
-            verdict = verdicts.get(message, MISSING)
-            if verdict is MISSING:
-                verdict = self._passes(message, context)
-                verdicts[message] = verdict
-            else:
-                hits += 1
-            if verdict:
-                kept.append(message)
-        # Batch the counter updates: one inc pair per apply() call keeps
-        # the per-message hot loop free of instrumentation.
-        if hits:
-            self._m_hits.inc(hits)
-        misses = len(messages) - hits
-        if misses:
-            self._m_misses.inc(misses)
-        return tuple(kept)
-
-    def _passes(self, message: int, context: RecoveryContext) -> bool:
-        """Run the full chain on a single message (pointwise members)."""
+        current = tuple(messages)
         for candidate_filter in self._filters:
-            if not candidate_filter.apply((message,), context):
-                return False
-        return True
+            current = candidate_filter.apply(current, context)
+        return current

@@ -19,10 +19,8 @@ from abc import ABC, abstractmethod
 from collections.abc import Sequence
 
 from repro.bits import popcount
-from repro.core.cache import MISSING, ContextCache
 from repro.core.sideinfo import RecoveryContext
 from repro.isa.decoder import try_decode
-from repro.obs import metrics as obs_metrics
 
 __all__ = [
     "CandidateRanker",
@@ -59,9 +57,9 @@ class CandidateRanker(ABC):
     def spec_scorer(self):
         """A ``(spec, context) -> float`` scorer, or ``None``.
 
-        The precompiled fast path (see ``repro.ecc.decode_table``)
-        caches scores per (syndrome, selector-field) class, which is
-        only sound when the score is a pure function of the message's
+        The decode-table path (see ``repro.core.swdecc``) decides
+        scores per (syndrome, selector-field) class, which is only
+        sound when the score is a pure function of the message's
         decoded :class:`~repro.isa.opcodes.InstructionSpec` (``None``
         for illegal words) and the context.  Rankers that read other
         message bits return ``None`` (the default) to keep the engine
@@ -71,66 +69,7 @@ class CandidateRanker(ABC):
         return None
 
 
-class _MemoizedRanker(CandidateRanker):
-    """Base for rankers whose score is a pure function of (message,
-    context): memoizes ``message -> score`` per context identity (see
-    :mod:`repro.core.cache`).  Subclasses implement
-    :meth:`_compute_score`; hit/miss totals are exported as
-    ``ranker.cache_hits`` / ``ranker.cache_misses``.
-    """
-
-    def __init__(self, cache: bool = True) -> None:
-        self._cache = ContextCache() if cache else None
-        registry = obs_metrics.get_registry()
-        self._m_hits = registry.counter("ranker.cache_hits")
-        self._m_misses = registry.counter("ranker.cache_misses")
-
-    def score(self, message: int, context: RecoveryContext) -> float:
-        cache = self._cache
-        if cache is None:
-            return self._compute_score(message, context)
-        value = cache.lookup(context, message)
-        if value is not MISSING:
-            self._m_hits.inc()
-            return value
-        self._m_misses.inc()
-        value = self._compute_score(message, context)
-        cache.store(message, value)
-        return value
-
-    def score_many(
-        self, messages: Sequence[int], context: RecoveryContext
-    ) -> list[float]:
-        """Batched :meth:`score`: one memo fetch, inline dict lookups."""
-        cache = self._cache
-        compute = self._compute_score
-        if cache is None:
-            return [compute(message, context) for message in messages]
-        values = cache.values_for(context)
-        get = values.get
-        hits = 0
-        scores = []
-        for message in messages:
-            value = get(message, MISSING)
-            if value is MISSING:
-                value = compute(message, context)
-                values[message] = value
-            else:
-                hits += 1
-            scores.append(value)
-        if hits:
-            self._m_hits.inc(hits)
-        misses = len(messages) - hits
-        if misses:
-            self._m_misses.inc(misses)
-        return scores
-
-    @abstractmethod
-    def _compute_score(self, message: int, context: RecoveryContext) -> float:
-        """The uncached scoring function."""
-
-
-class FrequencyRanker(_MemoizedRanker):
+class FrequencyRanker(CandidateRanker):
     """Score by the mnemonic's relative frequency in the program image.
 
     Messages that are not legal instructions score 0.0 (they only
@@ -142,7 +81,7 @@ class FrequencyRanker(_MemoizedRanker):
 
     name = "mnemonic-frequency"
 
-    def _compute_score(self, message: int, context: RecoveryContext) -> float:
+    def score(self, message: int, context: RecoveryContext) -> float:
         instruction = try_decode(message)
         if instruction is None:
             return 0.0
@@ -151,13 +90,13 @@ class FrequencyRanker(_MemoizedRanker):
         return context.frequency_table.frequency(instruction.mnemonic)
 
     def spec_scorer(self):
-        """Spec-keyed twin of :meth:`_compute_score`.
+        """Spec-keyed twin of :meth:`score`.
 
         ``Instruction.mnemonic`` is ``spec.mnemonic``, so the score is
         a pure function of the decoded spec.  Subclasses overriding
-        ``_compute_score`` must opt in again explicitly — the exact
-        type check keeps an inherited scorer from silently diverging
-        from an overridden reference path.
+        ``score`` must opt in again explicitly — the exact type check
+        keeps an inherited scorer from silently diverging from an
+        overridden reference path.
         """
         if type(self) is not FrequencyRanker:
             return None
@@ -176,7 +115,7 @@ def _uniform_spec_score(spec, context: RecoveryContext) -> float:
     return 1.0
 
 
-class OracleFrequencyRanker(_MemoizedRanker):
+class OracleFrequencyRanker(CandidateRanker):
     """Frequency ranking for any ISA, via a supplied mnemonic oracle.
 
     The ISA-agnostic counterpart of :class:`FrequencyRanker`: scores
@@ -186,16 +125,12 @@ class OracleFrequencyRanker(_MemoizedRanker):
     """
 
     def __init__(
-        self,
-        mnemonic_of_word,
-        name: str = "oracle-frequency",
-        cache: bool = True,
+        self, mnemonic_of_word, name: str = "oracle-frequency"
     ) -> None:
-        super().__init__(cache=cache)
         self._mnemonic = mnemonic_of_word
         self.name = name
 
-    def _compute_score(self, message: int, context: RecoveryContext) -> float:
+    def score(self, message: int, context: RecoveryContext) -> float:
         mnemonic = self._mnemonic(message)
         if mnemonic is None:
             return 0.0
@@ -224,8 +159,7 @@ class BigramContextRanker(CandidateRanker):
     name = "bigram-context"
 
     def __init__(self) -> None:
-        # Degradation path when the context carries no bigram table;
-        # built once because ranker construction resolves obs counters.
+        # Degradation path when the context carries no bigram table.
         self._unigram_fallback = FrequencyRanker()
 
     def score(self, message: int, context: RecoveryContext) -> float:
@@ -247,7 +181,7 @@ class BigramContextRanker(CandidateRanker):
         return forward * backward
 
 
-class PairFrequencyRanker(_MemoizedRanker):
+class PairFrequencyRanker(CandidateRanker):
     """Frequency ranking for 64-bit messages holding two instructions.
 
     Scores the product of the two halves' mnemonic frequencies
@@ -258,7 +192,7 @@ class PairFrequencyRanker(_MemoizedRanker):
 
     name = "pair-mnemonic-frequency"
 
-    def _compute_score(self, message: int, context: RecoveryContext) -> float:
+    def score(self, message: int, context: RecoveryContext) -> float:
         high = try_decode(message >> 32)
         low = try_decode(message & 0xFFFF_FFFF)
         if high is None or low is None:

@@ -15,6 +15,15 @@ the substrates:
 
 SWD-ECC costs nothing when no DUE occurs: this engine is only invoked
 on a word the hardware decoder has already flagged.
+
+The engine runs that one algorithm two ways.  By default it serves
+every double-bit DUE from the code's
+:class:`~repro.ecc.decode_table.DecodeTable`: the syndrome picks a
+table entry, and one *decision* per ``(entry, selector base, context)``
+class replaces the per-candidate filter and rank calls.  With
+``cache=False`` it is the reference oracle: the pipeline above, word by
+word, with no table and no memo.  The oracle also serves radius
+escalation and every configuration the table path rejects.
 """
 
 from __future__ import annotations
@@ -27,14 +36,13 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.core.cache import MAX_ENTRIES as _ROW_CACHE_MAX
 from repro.core.cache import ContextCache
 from repro.core.filters import CandidateFilter, FilterChain, InstructionLegalityFilter
 from repro.core.rankers import CandidateRanker, FrequencyRanker
 from repro.core.sideinfo import RecoveryContext
 from repro.ecc.candidates import CandidateEnumerator
 from repro.ecc.code import LinearBlockCode
-from repro.ecc.decode_table import DecodeTable
+from repro.ecc.decode_table import DecodeEntry, DecodeTable
 from repro.errors import DecodingError, RecoveryError
 from repro.isa.decoder import (
     ALL_SELECTOR_FIELDS,
@@ -131,43 +139,19 @@ _RESULT_FIELDS = (
 )
 
 
-class _PrecompiledResult(RecoveryResult):
+class _TableResult(RecoveryResult):
     """A :class:`RecoveryResult` whose tuple fields materialize lazily.
 
-    The precompiled fast path decides the recovery from per-syndrome
-    offsets without ever building the candidate/score tuples; most
-    callers (the service, sweeps driven by ``sweep_probabilities``)
-    only read ``chosen_message``/``chosen_codeword``, so the tuples
-    are reconstructed on first access instead of per call.  Every
-    field, once read, is bit-identical to the reference path's, and
-    equality/hash/pickle interoperate with plain results.
+    The table path decides the recovery from per-syndrome offsets
+    without ever building the candidate/score tuples; most callers
+    (the service, for one) only read ``chosen_message`` and
+    ``chosen_codeword``, so the tuples are reconstructed on first
+    access instead of per call.  Every field, once read, is
+    bit-identical to the reference path's, and equality/hash/pickle
+    interoperate with plain results.  Built by
+    :meth:`SwdEcc._recover_from_table`, which fills the instance dict
+    directly.
     """
-
-    def __init__(
-        self,
-        received: int,
-        filter_fell_back: bool,
-        chosen_message: int,
-        chosen_codeword: int,
-        tied: int,
-        received_message: int,
-        shift: int,
-        entry,
-        row,
-    ) -> None:
-        # Frozen-dataclass __setattr__ raises; seed the instance dict
-        # wholesale (the frozen contract still holds for callers).
-        self.__dict__ = {
-            "received": received,
-            "filter_fell_back": filter_fell_back,
-            "chosen_message": chosen_message,
-            "chosen_codeword": chosen_codeword,
-            "tied": tied,
-            "_received_message": received_message,
-            "_shift": shift,
-            "_entry": entry,
-            "_row": row,
-        }
 
     def __getattr__(self, name: str):
         if name == "candidates":
@@ -182,18 +166,19 @@ class _PrecompiledResult(RecoveryResult):
             if self.filter_fell_back:
                 value = self.candidate_messages
             else:
-                valid_offsets = self._row[0]
+                pool = set(self._row[0])
                 received_message = self._received_message
                 value = tuple(
                     message
                     for message in self.candidate_messages
-                    if message ^ received_message in valid_offsets
+                    if message ^ received_message in pool
                 )
         elif name == "scores":
-            scores_by_offset = self._row[1]
+            pool, scores = self._row[0], self._row[1]
+            score_by_offset = dict(zip(pool, scores))
             received_message = self._received_message
             value = tuple(
-                scores_by_offset[message ^ received_message]
+                score_by_offset[message ^ received_message]
                 for message in self.valid_messages
             )
         else:
@@ -243,15 +228,11 @@ class SwdEcc:
         RNG for random tie-breaking; supply a seeded instance for
         reproducible sweeps.
     cache:
-        Enable the syndrome-memoized enumerator and the filter/ranker
-        context caches (default).  Disable only to measure the uncached
-        baseline; a ranker supplied by the caller keeps whatever cache
-        setting it was built with.
-    precompile:
-        Build the full syndrome decode table at construction (see
-        :meth:`precompile`).  Off by default: sweeps and tests mostly
-        construct engines they drive through the already-vectorized
-        paths, and the service opts in per worker.
+        Serve double-bit DUEs from the code's decode table whenever
+        its guards and the filter/ranker spec hooks allow (default).
+        ``False`` selects the reference oracle: every word runs the
+        enumerate → filter → rank → choose pipeline with no table and
+        no memo.  Both give bit-identical results.
     """
 
     def __init__(
@@ -262,14 +243,13 @@ class SwdEcc:
         tie_break: TieBreak = TieBreak.RANDOM,
         rng: random.Random | None = None,
         cache: bool = True,
-        precompile: bool = False,
     ) -> None:
         self._code = code
-        self._enumerator = CandidateEnumerator(code, memoize=cache)
+        self._enumerator = CandidateEnumerator(code)
         if filters is None:
             filters = (InstructionLegalityFilter(),)
-        self._filter = FilterChain(filters, cache=cache)
-        self._ranker = ranker if ranker is not None else FrequencyRanker(cache=cache)
+        self._filter = FilterChain(filters)
+        self._ranker = ranker if ranker is not None else FrequencyRanker()
         self._tie_break = tie_break
         self._rng = rng if rng is not None else random.Random()
         # Metric objects are cached here so the per-recover() cost is a
@@ -282,15 +262,22 @@ class SwdEcc:
             "ops.ranker_evals",
             help="Candidate messages scored by the ranker",
         )
-        # The vectorized sweep path enumerates by per-message XORs
-        # without going through the enumerator, so it charges the same
-        # op classes itself (keeps sweep energy comparable to recover).
+        # The table path enumerates by per-message XORs without going
+        # through the enumerator, so it charges the same op classes
+        # itself (keeps its energy comparable to the reference path).
         self._m_ops_enum = registry.counter(
             "ops.candidate_enumerations",
             help="Candidate-codeword enumerations for DUEs",
         )
         self._m_ops_xor = registry.counter(
             "ops.xor", help="Modeled GF(2) XOR word operations"
+        )
+        self._m_ops_syndromes = registry.counter(
+            "ops.syndrome_computes", help="Syndrome computations (H @ r)"
+        )
+        self._m_ops_filter = registry.counter(
+            "ops.filter_evals",
+            help="Candidate messages evaluated by the filter chain",
         )
         self._m_fallbacks = registry.counter("swdecc.filter_fallbacks")
         self._m_escalations = registry.counter("swdecc.radius_escalations")
@@ -301,29 +288,30 @@ class SwdEcc:
         self._h_valid = registry.histogram(
             "swdecc.valid_messages", buckets=obs_metrics.DEFAULT_COUNT_BUCKETS
         )
-        # Precompiled fast-path state (see precompile()).
-        self._m_ops_syndromes = registry.counter(
-            "ops.syndrome_computes", help="Syndrome computations (H @ r)"
-        )
-        self._m_ops_filter = registry.counter(
-            "ops.filter_evals",
-            help="Candidate messages evaluated by the filter chain",
-        )
+        # Table path: the code's shared decode table, armed only when
+        # the filter chain and ranker certify spec-local semantics (k <=
+        # 32 MIPS words) and the table's structural guards hold.
         self._table: DecodeTable | None = None
-        self._fast_hooks: tuple | None = None
-        self._fast_chunks: tuple = ()
-        self._fast_entry_get = None
-        self._fast_word_bits = code.n
+        self._hooks: tuple | None = None
+        if cache and code.k <= 32:
+            predicate = self._filter.spec_predicate()
+            scorer = self._ranker.spec_scorer()
+            if (
+                predicate is not None
+                and scorer is not None
+                and code.decode_table.supports_fast_path
+            ):
+                self._table = code.decode_table
+                self._hooks = (predicate, scorer)
+                # Hot-loop snapshots: the table path inlines the chunked
+                # syndrome XOR and the entry probe.
+                self._chunks = self._table.chunks
+                self._entry_get = self._table.entries.get
+                self._ce_syndromes = code.syndrome_to_position
+        # (syndrome, selector base) -> decision row, per context.
         self._row_cache = ContextCache()
-        self._ce_syndromes: dict[int, int] = {}
+        self._n = code.n
         self._message_shift = code.n - code.k
-        if precompile:
-            if not cache:
-                raise ValueError(
-                    "precompile=True requires cache=True: the decode "
-                    "table and its per-context decision rows are caches"
-                )
-            self.precompile()
 
     @property
     def code(self) -> LinearBlockCode:
@@ -331,52 +319,10 @@ class SwdEcc:
         return self._code
 
     @property
-    def precompiled(self) -> bool:
-        """True once :meth:`precompile` has built the decode table."""
-        return self._table is not None
-
-    @property
     def decode_table(self) -> DecodeTable | None:
-        """The precompiled syndrome table, or ``None``."""
+        """The code's decode table when this engine serves from it,
+        else ``None`` (the reference oracle)."""
         return self._table
-
-    def precompile(self) -> DecodeTable:
-        """Build and install the syndrome decode table (idempotent).
-
-        Materializes the complete ``syndrome -> (flip masks, message
-        offsets)`` mapping (see :mod:`repro.ecc.decode_table`), wires
-        it under the enumerator so even reference-path enumerations
-        skip the per-syndrome column walk, and — when the code, filter
-        chain, and ranker all certify spec-local semantics — arms the
-        single-word fast path that turns :meth:`recover` into syndrome
-        XOR + table probe + (cached) rank + choose.
-
-        The fast path stays bit-identical to the reference pipeline:
-        ineligible configurations (exotic code subclasses, filters or
-        rankers without spec hooks, k > 32 messages) simply keep the
-        reference path, and eligible ones fall back word-by-word for
-        non-double-bit cosets so radius escalation bypasses the table
-        cleanly.
-        """
-        if self._table is not None:
-            return self._table
-        table = DecodeTable(self._code)
-        self._enumerator.install_table(table)
-        self._ce_syndromes = self._code.syndrome_to_position
-        hooks = None
-        if table.supports_fast_path and self._code.k <= 32:
-            predicate = self._filter.spec_predicate()
-            scorer = self._ranker.spec_scorer()
-            if predicate is not None and scorer is not None:
-                hooks = (predicate, scorer)
-        self._table = table
-        self._fast_hooks = hooks
-        # Hot-loop snapshots: the fast path inlines the chunked
-        # syndrome XOR and the entry probe to skip method dispatch.
-        self._fast_chunks = table.chunks
-        self._fast_entry_get = table.entries.get
-        self._fast_word_bits = self._code.n
-        return table
 
     @property
     def filter_chain(self) -> FilterChain:
@@ -425,16 +371,15 @@ class SwdEcc:
         :class:`~repro.errors.DecodingError` when *received* is not a
         DUE in the first place.
 
-        A precompiled engine (see :meth:`precompile`) serves clean
-        2-bit cosets straight from the decode table — bit-identical
-        results, including tie-break RNG consumption, at a fraction of
-        the cost — and runs this reference pipeline for everything
-        else.
+        The table path serves clean 2-bit cosets straight from the
+        decode table — bit-identical results, including tie-break RNG
+        consumption, at a fraction of the cost — and this reference
+        pipeline serves everything else.
         """
         if context is None:
             context = RecoveryContext()
-        if self._fast_hooks is not None:
-            result = self._recover_precompiled(received, context)
+        if self._table is not None:
+            result = self._recover_from_table(received, context)
             if result is not None:
                 return result
         start_ns = time.perf_counter_ns()
@@ -512,7 +457,7 @@ class SwdEcc:
             tied=len(tied_messages),
         )
 
-    def _recover_precompiled(
+    def _recover_from_table(
         self, received: int, context: RecoveryContext
     ) -> RecoveryResult | None:
         """Serve one recovery from the decode table, or ``None``.
@@ -525,20 +470,18 @@ class SwdEcc:
 
         Op accounting charges what the lookup actually performs — one
         syndrome compute, one enumeration, a handful of XORs, plus
-        filter/ranker evaluations only when a decision row is built —
-        with the table's own construction charged once at build time,
-        so grouping recoveries differently never changes the totals.
+        filter/ranker evaluations only when a decision row is built.
         """
         start_ns = time.perf_counter_ns()
         # Inlined DecodeTable.syndrome_of: same range check (negative
         # words shift to -1, which is truthy), same message, then the
         # chunked XOR probes, without per-call method dispatch.
-        if received >> self._fast_word_bits:
+        if received >> self._n:
             raise DecodingError(
                 f"received word 0x{received:x} does not fit in "
-                f"{self._code.n} bits"
+                f"{self._n} bits"
             )
-        chunks = self._fast_chunks
+        chunks = self._chunks
         if len(chunks) == 3:
             # Unrolled for the 3-probe shape every n <= 39 code takes.
             (low0, mask0, chunk0), (low1, mask1, chunk1), (low2, mask2, chunk2) = chunks
@@ -560,29 +503,29 @@ class SwdEcc:
             raise DecodingError(
                 "received word is a correctable 1-bit error, not a DUE"
             )
-        entry = self._fast_entry_get(syndrome)
+        entry = self._entry_get(syndrome)
         if entry is None:
             return None
         received_message = received >> self._message_shift
         base = received_message & ALL_SELECTOR_FIELDS
-        # Inlined ContextCache.values_for: same generation and cap
-        # checks, minus the method dispatch.
-        row_cache = self._row_cache
-        if (
-            context is row_cache._context
-            and len(row_cache._values) < _ROW_CACHE_MAX
-        ):
-            rows = row_cache._values
-        else:
-            rows = row_cache.values_for(context)
+        rows = self._row_cache.values_for(context)
         row_key = (syndrome << 32) | base
         row = rows.get(row_key)
         if row is None:
-            row = self._build_decision_row(entry, base, context)
+            # (pool, scores, tied, fell_back, num_valid, bucket indices)
+            row = self._decide(entry, base, context)
+            num_valid = 0 if row[3] else len(row[0])
+            # Histogram observations on this path are row constants, so
+            # their bucket indices are resolved here, once per row.
+            row += (
+                num_valid,
+                bisect_left(self._h_candidates.buckets, len(entry.offsets)),
+                bisect_left(self._h_valid.buckets, num_valid),
+            )
             rows[row_key] = row
         tied_offsets = row[2]
         fell_back = row[3]
-        tied = row[5]
+        tied = len(tied_offsets)
         if tied == 1:
             chosen_message = received_message ^ tied_offsets[0]
         elif self._tie_break is TieBreak.FIRST:
@@ -602,7 +545,7 @@ class SwdEcc:
             chosen_message ^ received_message
         ]
         latency_ns = time.perf_counter_ns() - start_ns
-        num_candidates = row[6]
+        num_candidates = len(entry.offsets)
         num_valid = row[4]
         # Counter.inc minus its non-negativity guard (these amounts are
         # constants >= 0), and Histogram.observe with the row's
@@ -622,7 +565,7 @@ class SwdEcc:
         if tied > 1:
             self._m_ties._value += 1
         histogram = self._h_candidates
-        histogram._bucket_counts[row[7]] += 1
+        histogram._bucket_counts[row[5]] += 1
         histogram._count += 1
         histogram._sum += num_candidates
         if histogram._min is None or num_candidates < histogram._min:
@@ -630,7 +573,7 @@ class SwdEcc:
         if histogram._max is None or num_candidates > histogram._max:
             histogram._max = num_candidates
         histogram = self._h_valid
-        histogram._bucket_counts[row[8]] += 1
+        histogram._bucket_counts[row[6]] += 1
         histogram._count += 1
         histogram._sum += num_valid
         if histogram._min is None or num_valid < histogram._min:
@@ -650,8 +593,11 @@ class SwdEcc:
                 ),
             )
         )
-        result = _PrecompiledResult.__new__(_PrecompiledResult)
-        result.__dict__ = {
+        # Filling the instance dict in place bypasses the frozen
+        # dataclass's Python-level __setattr__, a measurable slice of
+        # this path (the frozen contract still holds for callers).
+        result = object.__new__(_TableResult)
+        result.__dict__.update({
             "received": received,
             "filter_fell_back": fell_back,
             "chosen_message": chosen_message,
@@ -661,61 +607,52 @@ class SwdEcc:
             "_shift": self._message_shift,
             "_entry": entry,
             "_row": row,
-        }
+        })
         return result
 
-    def _build_decision_row(
-        self, entry, base: int, context: RecoveryContext
+    def _decide(
+        self, entry: DecodeEntry, base: int, context: RecoveryContext
     ) -> tuple:
-        """Precompute one (syndrome, selector-class) decision row.
+        """Filter → fallback → rank → ties for one decode-table class.
 
         Filter verdicts and ranker scores are pure functions of a
         candidate's decoded spec, and every candidate's spec is fixed
         by ``base`` (the received message's selector-field bits) XOR
-        the syndrome's message offsets — so the whole
-        filter → fallback → rank → find-ties pipeline runs once per
-        (syndrome, base, context) and every later word in the class
-        reuses the row.
+        the entry's message offsets — so every word of one ``(entry,
+        base, context)`` class shares this decision.  Charges the
+        filter and ranker evaluations the reference pipeline would.
+
+        Returns ``(pool, scores, tied, fell_back)``: the offsets the
+        ranker scored (the filter's survivors, or every candidate when
+        the filter fell back), their scores, the top-scored offsets,
+        and whether the filter fell back.
         """
-        predicate, scorer = self._fast_hooks
-        offsets = entry.offsets
+        predicate, scorer = self._hooks
         all_fields = ALL_SELECTOR_FIELDS
-        specs = [
-            spec_for_selector_key(selector_key(base ^ (offset & all_fields)))
-            for offset in offsets
+        candidates = [
+            (
+                offset,
+                spec_for_selector_key(
+                    selector_key(base ^ (offset & all_fields))
+                ),
+            )
+            for offset in entry.offsets
         ]
         if self._filter.filters:
-            self._m_ops_filter.inc(len(offsets))
-        survivors = [
-            (offset, spec)
-            for offset, spec in zip(offsets, specs)
-            if predicate(spec)
-        ]
-        fell_back = not survivors
-        pool = list(zip(offsets, specs)) if fell_back else survivors
-        scores = [scorer(spec, context) for _, spec in pool]
+            self._m_ops_filter.inc(len(candidates))
+        pool = [candidate for candidate in candidates if predicate(candidate[1])]
+        fell_back = not pool
+        if fell_back:
+            pool = candidates
+        scores = tuple(scorer(spec, context) for _, spec in pool)
         self._m_ranker_evals.inc(len(scores))
         best_score = max(scores)
-        tied_offsets = tuple(
+        tied = tuple(
             offset
             for (offset, _), score in zip(pool, scores)
             if score == best_score
         )
-        # Histogram observations on the fast path are row constants, so
-        # their bucket indices are resolved here, once per row.
-        num_candidates = len(offsets)
-        num_valid = len(survivors)
-        return (
-            frozenset(offset for offset, _ in survivors),
-            {offset: score for (offset, _), score in zip(pool, scores)},
-            tied_offsets,
-            fell_back,
-            num_valid,
-            len(tied_offsets),
-            num_candidates,
-            bisect_left(self._h_candidates.buckets, num_candidates),
-            bisect_left(self._h_valid.buckets, num_valid),
-        )
+        return tuple(offset for offset, _ in pool), scores, tied, fell_back
 
     def recover_batch(
         self,
@@ -724,12 +661,8 @@ class SwdEcc:
     ) -> list[RecoveryResult]:
         """Recover a batch of DUE words sharing one side-info context.
 
-        The batch entry point the sweep engine uses: the context is
-        resolved once, and because enumeration is syndrome-memoized
-        (words corrupted by the same error pattern share a syndrome),
-        the pair set is computed once per coset and every subsequent
-        word in the batch enumerates by pure XORs.  Results match
-        word-by-word :meth:`recover` calls exactly.
+        The context is resolved once; results match word-by-word
+        :meth:`recover` calls exactly.
         """
         if context is None:
             context = RecoveryContext()
@@ -744,98 +677,83 @@ class SwdEcc:
     ) -> list[tuple[float, int, int]]:
         """Exact per-message recovery stats for one error pattern.
 
-        The pattern-vectorized fast path behind
-        :class:`~repro.analysis.sweep.DueSweep` (see
-        ``docs/performance.md``): every flip-pair mask of the pattern's
-        syndrome satisfies ``H @ (error ^ mask) = 0``, so each
-        ``error ^ mask`` is itself a codeword and the candidate
-        *messages* of ``encode(m) ^ error`` are exactly
-        ``m ^ extract_message(error ^ mask)``.  Per stored message,
-        enumeration and extraction collapse into XORs against offsets
-        computed once per pattern; filtering and ranking run through
-        their usual (cached) paths.
-
+        The kernel behind :class:`~repro.analysis.sweep.DueSweep`.
         Returns ``(success_probability, num_candidates, num_valid)``
         per message — ``num_valid`` is 0 when the filter fell back —
         bit-identical to recovering ``encode(m) ^ error`` with
         :meth:`recover` and scoring the trace with
         :func:`success_probability` under this engine's tie-break.
-        Recovery counters and histograms advance as usual; per-DUE
-        *events* are not recorded (an exhaustive sweep would only churn
-        the bounded ring).
+
+        On the table path the pattern's syndrome picks one table entry
+        for every message: ``encode(m) ^ error`` carries message bits
+        ``m ^ (error >> r)``, its candidates are those bits XOR the
+        entry's offsets, and the original is the candidate at offset
+        ``error >> r``.  Each message is decided with the same
+        ``(entry, selector base, context)`` step :meth:`recover` uses,
+        computed and not stored.  Recovery counters and histograms
+        advance as usual; per-DUE *events* are not recorded (an
+        exhaustive sweep would only churn the bounded ring).  The
+        oracle, and patterns without a table entry, run :meth:`recover`
+        word by word instead.
         """
         if context is None:
             context = RecoveryContext()
         if not messages:
             return []
-        code = self._code
-        try:
-            syndrome = self._enumerator._check_due(error)
-        except DecodingError:
-            return self._sweep_probabilities_slow(messages, error, context)
-        masks = self._enumerator.pair_masks(syndrome)
-        if not masks:
-            # No distance-2 candidates: the per-word path escalates.
-            return self._sweep_probabilities_slow(messages, error, context)
-        offsets = tuple(
-            code.extract_message(error ^ mask) for mask in masks
-        )
-        self._m_ops_xor.inc(len(masks))
-        # Guard the linearity assumption (extract_message(a ^ b) ==
-        # extract_message(a) ^ extract_message(b)) against exotic code
-        # subclasses by checking the first word exhaustively.
-        received0 = code.encode(messages[0]) ^ error
-        if any(
-            code.extract_message(received0 ^ mask) != messages[0] ^ offset
-            for mask, offset in zip(masks, offsets)
-        ):
-            return self._sweep_probabilities_slow(messages, error, context)
+        table = self._table
+        entry = None
+        if table is not None and 0 <= error < 1 << self._n:
+            # Set-up shared by every word of the pattern (no word's own
+            # syndrome is computed), so like the table build it charges
+            # no op.
+            syndrome = table.syndrome_of(error)
+            if syndrome and syndrome not in self._ce_syndromes:
+                entry = self._entry_get(syndrome)
+        if entry is None:
+            return self._sweep_by_recover(messages, error, context)
 
-        filter_chain = self._filter
-        score_many = self._ranker.score_many
+        error_offset = error >> self._message_shift
+        num_candidates = len(entry.offsets)
+        decide = self._decide
+        all_fields = ALL_SELECTOR_FIELDS
         tie_first = self._tie_break is TieBreak.FIRST
-        num_candidates = len(offsets)
+        h_candidates = self._h_candidates
+        h_valid = self._h_valid
         stats: list[tuple[float, int, int]] = []
         fallbacks = 0
         tie_count = 0
-        scored_total = 0
-        h_candidates = self._h_candidates
-        h_valid = self._h_valid
         for message in messages:
-            candidate_messages = [message ^ offset for offset in offsets]
-            valid = filter_chain.apply(candidate_messages, context)
-            if valid:
-                pool = valid
-                num_valid = len(valid)
-            else:
-                pool = candidate_messages
-                num_valid = 0
-                fallbacks += 1
-            scores = score_many(pool, context)
-            scored_total += len(pool)
-            best_score = max(scores)
-            tied = [
-                m for m, score in zip(pool, scores) if score == best_score
-            ]
-            if len(tied) > 1:
-                tie_count += 1
-            if message not in pool or message not in tied:
+            received_message = message ^ error_offset
+            pool, _, tied, fell_back = decide(
+                entry, received_message & all_fields, context
+            )
+            if error_offset not in tied:
                 probability = 0.0
             elif tie_first:
-                probability = 1.0 if message == min(tied) else 0.0
+                probability = (
+                    1.0
+                    if message == min([received_message ^ t for t in tied])
+                    else 0.0
+                )
             else:
                 probability = 1.0 / len(tied)
+            if fell_back:
+                num_valid = 0
+                fallbacks += 1
+            else:
+                num_valid = len(pool)
+            if len(tied) > 1:
+                tie_count += 1
             h_candidates.observe(num_candidates)
             h_valid.observe(num_valid)
             stats.append((probability, num_candidates, num_valid))
         self._m_recoveries.inc(len(messages))
-        self._m_ranker_evals.inc(scored_total)
         self._m_ops_enum.inc(len(messages))
-        self._m_ops_xor.inc(len(messages) * len(offsets))
+        self._m_ops_xor.inc(len(messages) * num_candidates)
         if fallbacks:
             self._m_fallbacks.inc(fallbacks)
             obs_logging.emit(
-                _log, logging.DEBUG, "filter fell back (vectorized sweep)",
+                _log, logging.DEBUG, "filter fell back (table sweep)",
                 error=f"0x{error:x}", count=fallbacks,
                 messages=len(messages),
             )
@@ -843,18 +761,15 @@ class SwdEcc:
             self._m_ties.inc(tie_count)
         return stats
 
-    def _sweep_probabilities_slow(
+    def _sweep_by_recover(
         self,
         messages: Sequence[int],
         error: int,
         context: RecoveryContext,
     ) -> list[tuple[float, int, int]]:
-        """Per-word reference path for :meth:`sweep_probabilities`.
-
-        Used when the pattern is not a clean 2-bit DUE coset (so the
-        per-word path can escalate or raise exactly as :meth:`recover`
-        would) or the code's message extraction is not linear.
-        """
+        """Word-by-word :meth:`sweep_probabilities`: one :meth:`recover`
+        per message, so the oracle and the patterns the table does not
+        cover escalate or raise exactly as :meth:`recover` would."""
         code = self._code
         stats = []
         for message in messages:

@@ -17,12 +17,9 @@ DECTED code).
 Because the code is linear, the *flip patterns* that turn a DUE into a
 codeword depend only on the word's syndrome, never on the word itself:
 a pair (i, j) works exactly when column i XOR column j of H equals the
-syndrome.  The enumerator therefore memoizes ``syndrome -> flip
-masks``, so repeat enumerations over the same coset — the common case
-in exhaustive sweeps, where all 741 double-bit patterns map onto at
-most ``2^r`` distinct syndromes — are pure XORs instead of a fresh
-n-column walk.  Cache hits and misses are exported through
-``repro.obs`` as ``candidates.cache_hits`` / ``candidates.cache_misses``.
+syndrome.  The enumerator is the cache-free reference walk; the
+per-code :class:`~repro.ecc.decode_table.DecodeTable` runs the same walk
+once per syndrome and serves the engine's table path.
 """
 
 from __future__ import annotations
@@ -42,12 +39,6 @@ __all__ = [
     "candidate_count_profile",
 ]
 
-#: Escalation-cache entries before the memo is cleared and restarted —
-#: the same clear-in-place policy (and the same bound) as
-#: ``repro.core.cache.MAX_ENTRIES``, kept as a local constant so the
-#: ecc layer does not depend on the core layer.
-MAX_RADIUS_ENTRIES = 1 << 16
-
 
 class CandidateEnumerator:
     """Enumerates equidistant candidate codewords for a DUE.
@@ -56,30 +47,14 @@ class CandidateEnumerator:
     ----------
     code:
         The linear block code protecting the memory.
-    memoize:
-        Cache per-syndrome flip masks (and radius offsets) so repeat
-        enumerations over the same coset are pure XORs.  On by default;
-        disable only to measure the uncached baseline (the throughput
-        benchmark does).
     """
 
-    def __init__(self, code: LinearBlockCode, memoize: bool = True) -> None:
+    def __init__(self, code: LinearBlockCode) -> None:
         self._code = code
         self._n = code.n
         self._column_syndromes = code.column_syndromes
         self._syndrome_to_position = code.syndrome_to_position
-        self._memoize = memoize
-        # Precompiled syndrome table (see repro.ecc.decode_table);
-        # installed by SwdEcc.precompile() and consulted ahead of the
-        # lazy per-syndrome walk.
-        self._table = None
-        # syndrome -> flip masks whose XOR reaches a distance-2 codeword
-        self._pair_masks: dict[int, tuple[int, ...]] = {}
-        # (syndrome, radius) -> flip offsets for the escalated search
-        self._radius_offsets: dict[tuple[int, int], tuple[int, ...]] = {}
         registry = obs_metrics.get_registry()
-        self._m_hits = registry.counter("candidates.cache_hits")
-        self._m_misses = registry.counter("candidates.cache_misses")
         self._m_enumerations = registry.counter(
             "ops.candidate_enumerations",
             help="Candidate-codeword enumerations for DUEs",
@@ -93,23 +68,6 @@ class CandidateEnumerator:
         """The code this enumerator works over."""
         return self._code
 
-    def install_table(self, table) -> None:
-        """Serve :meth:`pair_masks` from a precompiled
-        :class:`~repro.ecc.decode_table.DecodeTable`.
-
-        The table covers every syndrome at once (it enumerated all
-        column pairs at build), so installed lookups count as cache
-        hits — the per-syndrome walk, already charged at table build,
-        never runs again.  The escalation path
-        (:meth:`candidates_within_radius`) deliberately bypasses the
-        table: its trial-flip search is not a pair enumeration.
-        """
-        if table.code is not self._code:
-            raise DecodingError(
-                "decode table was built for a different code instance"
-            )
-        self._table = table
-
     def pair_masks(self, syndrome: int) -> tuple[int, ...]:
         """Flip masks reaching every distance-2 codeword of a coset.
 
@@ -117,19 +75,9 @@ class CandidateEnumerator:
         ``column_i XOR column_j == syndrome``, the returned tuple holds
         the n-bit mask with bits i and j set; XOR-ing any received word
         of that syndrome with each mask yields exactly the distance-2
-        candidate codewords.  Results are memoized per syndrome, or
-        answered directly from an installed precompiled table.
+        candidate codewords.
         """
-        table = self._table
-        if table is not None:
-            self._m_hits.inc()
-            return table.pair_masks(syndrome)
-        masks = self._pair_masks.get(syndrome)
-        if masks is not None:
-            self._m_hits.inc()
-            return masks
-        self._m_misses.inc()
-        self._m_xor.inc(self._n)  # the fresh n-column walk below
+        self._m_xor.inc(self._n)  # the n-column walk below
         top_bit = 1 << (self._n - 1)
         found = []
         for position, column in enumerate(self._column_syndromes):
@@ -137,10 +85,7 @@ class CandidateEnumerator:
             # Each pair is discovered from both ends; keep the i < j view.
             if partner is not None and partner > position:
                 found.append((top_bit >> position) | (top_bit >> partner))
-        masks = tuple(found)
-        if self._memoize:
-            self._pair_masks[syndrome] = masks
-        return masks
+        return tuple(found)
 
     def _check_due(self, received: int) -> int:
         """Validate *received* as a DUE and return its syndrome."""
@@ -189,12 +134,6 @@ class CandidateEnumerator:
         ``t`` bits: trial-flips every combination of up to
         ``radius - t`` bits and collects the successful decodes.  The
         enumeration cost grows as ``C(n, radius - t)``.
-
-        The set of *offsets* ``codeword XOR received`` reached this way
-        is a function of (syndrome, radius) alone — each trial decode
-        corrects based purely on the trial word's syndrome, which the
-        flip set determines given the received word's syndrome — so the
-        offsets are memoized per coset, like :meth:`pair_masks`.
         """
         if radius < 0:
             raise ValueError(f"radius must be non-negative, got {radius}")
@@ -203,15 +142,6 @@ class CandidateEnumerator:
             raise DecodingError(
                 f"received word 0x{received:x} does not fit in {n} bits"
             )
-        syndrome = self._code.syndrome(received)
-        key = (syndrome, radius)
-        offsets = self._radius_offsets.get(key)
-        if offsets is not None:
-            self._m_hits.inc()
-            self._m_enumerations.inc()
-            self._m_xor.inc(len(offsets))
-            return tuple(sorted(received ^ offset for offset in offsets))
-        self._m_misses.inc()
         t = self._code.correctable_bits()
         extra_flips = max(radius - t, 0)
         self._m_enumerations.inc()
@@ -234,15 +164,6 @@ class CandidateEnumerator:
                 assert codeword is not None
                 if popcount(codeword ^ received) <= radius:
                     found.add(codeword)
-        if self._memoize:
-            if len(self._radius_offsets) >= MAX_RADIUS_ENTRIES:
-                # Clear in place, like ContextCache: bound worst-case
-                # RAM under pathological syndrome/radius churn without
-                # invalidating outstanding references to the dict.
-                self._radius_offsets.clear()
-            self._radius_offsets[key] = tuple(
-                codeword ^ received for codeword in found
-            )
         return tuple(sorted(found))
 
 

@@ -20,11 +20,15 @@ import enum
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
+from typing import TYPE_CHECKING
 
 from repro.bits import bit_mask, popcount
 from repro.ecc.gf2 import GF2Matrix, identity
 from repro.errors import CodeConstructionError, DecodingError, EncodingError
 from repro.obs import metrics as obs_metrics
+
+if TYPE_CHECKING:
+    from repro.ecc.decode_table import DecodeTable
 
 __all__ = [
     "DecodeStatus",
@@ -165,6 +169,14 @@ class LinearBlockCode:
         self._m_and = registry.counter(
             "ops.and", help="Modeled GF(2) AND word operations"
         )
+        self._decode_table = None
+
+    def __getstate__(self) -> dict:
+        # The decode table is derived data (about 1 MB for n = 39): a
+        # copy sent to another process rebuilds it on first use.
+        state = self.__dict__.copy()
+        state["_decode_table"] = None
+        return state
 
     # ------------------------------------------------------------------
     # Basic parameters
@@ -213,6 +225,21 @@ class LinearBlockCode:
     def correctable_bits(self) -> int:
         """Number of bit errors the default decoder corrects (t = 1)."""
         return 1
+
+    @property
+    def decode_table(self) -> DecodeTable:
+        """This code's syndrome decode table, built on first access.
+
+        Every engine over this code object shares the one table (see
+        :mod:`repro.ecc.decode_table`).
+        """
+        table = self._decode_table
+        if table is None:
+            # Deferred: decode_table imports this module.
+            from repro.ecc.decode_table import DecodeTable
+
+            table = self._decode_table = DecodeTable(self)
+        return table
 
     # ------------------------------------------------------------------
     # Encode / decode

@@ -106,7 +106,7 @@ class DaecCode(LinearBlockCode):
     (module docstring) and :meth:`decode` extends the bounded-distance
     decoder with the adjacent-double branch.  Everything else — the
     :class:`~repro.ecc.candidates.CandidateEnumerator` walk, the
-    precompiled :class:`~repro.ecc.decode_table.DecodeTable`, SWD-ECC
+    :class:`~repro.ecc.decode_table.DecodeTable`, SWD-ECC
     recovery of the remaining (non-adjacent) DUEs — works unchanged,
     because those layers only consume ``syndrome``/``column_syndromes``
     which this class does not alter.

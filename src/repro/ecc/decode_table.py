@@ -1,32 +1,29 @@
-"""Precompiled syndrome decode tables: the DUE space, materialized.
+"""Syndrome decode tables: the DUE space of a code, materialized.
 
 For a fixed (n, k) code the entire double-bit-DUE space is tiny — all
 C(n, 2) column pairs of H map onto at most ``2^r`` distinct syndromes
 (63 for the paper's (39, 32) SECDED code) — and both the flip-mask set
 and the candidate *message offsets* of a DUE are pure functions of its
-syndrome, never of the received word (the GF(2)-linearity trick
-``SwdEcc.sweep_probabilities`` exploits per pattern).  This module
-builds that whole mapping once, eagerly:
+syndrome, never of the received word.  This module builds that whole
+mapping once per code (:attr:`LinearBlockCode.decode_table
+<repro.ecc.code.LinearBlockCode.decode_table>`):
 
 - ``syndrome -> DecodeEntry`` with the flip masks (bit-identical, in
-  the same order, to what ``CandidateEnumerator.pair_masks`` would
-  memoize lazily), the k-bit message offsets ``mask >> r``, and a
-  reverse ``offset -> mask`` index so a chosen message maps back to
-  its codeword in O(1);
+  the same order, to the ``CandidateEnumerator.pair_masks`` column
+  walk), the k-bit message offsets ``mask >> r``, and a reverse
+  ``offset -> mask`` index so a chosen message maps back to its
+  codeword in O(1);
 - chunked syndrome lookup tables (``ceil(n / 13)`` tables of at most
   8192 entries) that turn the per-word ``H @ r`` multiply into a few
   list probes and XORs.
 
-Build cost is charged to the ``ops.*`` energy counters once, here, so
-per-recovery charges on the fast path can reflect only the probes a
-lookup actually performs while the op-accounting stays additive.
-
-The table is safe to *install* on any code (``pair_masks`` delegation
-reproduces the lazy walk exactly), but the engine-side fast path
-additionally requires :attr:`DecodeTable.supports_fast_path` — the
-structural guards against exotic code subclasses that override
-``syndrome``/``extract_message``, the same conservative posture as the
-``sweep_probabilities`` linearity guard.
+The build charges no ``ops.*`` counters: it is set-up, priced by
+``decode_table.build_seconds``, so op totals do not depend on how many
+processes or engines a study uses.  Engines serve recoveries from the
+table only when :attr:`DecodeTable.supports_fast_path` holds — the
+structural guards against code subclasses that override ``syndrome``,
+``encode`` or ``extract_message``, or that correct more than one bit;
+everything else takes the reference path.
 """
 
 from __future__ import annotations
@@ -46,12 +43,12 @@ __all__ = ["DecodeTable", "DecodeEntry"]
 #: only 3 probes per 39-bit word.
 _CHUNK_BITS = 13
 
-#: Words spot-checked against ``code.syndrome`` at build time.
+#: Words spot-checked against the H product at build time.
 _VERIFY_WORDS = 8
 
 
 class DecodeEntry:
-    """One syndrome's precompiled candidate set."""
+    """One syndrome's candidate set."""
 
     __slots__ = ("syndrome", "masks", "offsets", "mask_by_offset")
 
@@ -71,11 +68,10 @@ class DecodeEntry:
 class DecodeTable:
     """The complete syndrome→candidates decode table of one code.
 
-    Building enumerates every unordered column pair of H once (the
-    work the lazy enumerator would spread over per-syndrome misses)
-    and materializes chunked syndrome tables, so a single-word
-    ``recover()`` becomes syndrome XOR + table probe + (cached) rank +
-    choose.  Exported via ``repro.obs``:
+    Building runs the enumerator's column walk once per reachable
+    syndrome and materializes chunked syndrome tables, so a single-word
+    ``recover()`` becomes syndrome XOR + table probe + decide + choose.
+    Exported via ``repro.obs``:
 
     - ``decode_table.builds`` / ``decode_table.entries`` /
       ``decode_table.pair_masks`` / ``decode_table.resident_bytes``
@@ -94,9 +90,9 @@ class DecodeTable:
         columns = code.column_syndromes
         syndrome_to_position = code.syndrome_to_position
 
-        # --- syndrome -> flip masks, via the lazy walk's own algorithm
-        # (identical tuples, identical order) run once per reachable
-        # syndrome instead of once per cache miss.
+        # --- syndrome -> flip masks, via the enumerator's column walk
+        # (identical tuples, identical order), once per reachable
+        # syndrome.
         pair_syndromes: set[int] = set()
         for i in range(n):
             column_i = columns[i]
@@ -118,33 +114,39 @@ class DecodeTable:
 
         # --- chunked syndrome lookup: XOR of per-chunk partial
         # syndromes reproduces H @ r exactly (each table entry is the
-        # XOR of the column syndromes of its set bits).
+        # XOR of the column syndromes of its set bits).  Each chunk bit
+        # doubles the table: entries with the bit set are the entries
+        # without it, XOR that bit's column.
         chunks: list[tuple[int, int, list[int]]] = []
-        chunk_xors = 0
         for low in range(0, n, _CHUNK_BITS):
             width = min(_CHUNK_BITS, n - low)
-            table = [0] * (1 << width)
-            for value in range(1, 1 << width):
-                lsb_index = low + (value & -value).bit_length() - 1
-                table[value] = (
-                    table[value & (value - 1)] ^ columns[n - 1 - lsb_index]
-                )
-            chunk_xors += len(table) - 1
+            table = [0]
+            for bit in range(width):
+                column = columns[n - 1 - (low + bit)]
+                table += [value ^ column for value in table]
             chunks.append((low, bit_mask(width), table))
         self._chunks = tuple(chunks)
 
-        # --- fast-path guards (the sweep_probabilities posture): the
-        # shift-based offsets and chunked syndromes replicate the *base
-        # class* semantics, so a subclass overriding either method gets
-        # the reference path, not a wrong answer.
-        self.linear_extract = (
-            type(code).extract_message is LinearBlockCode.extract_message
+        # --- fast-path guards: the shift-based offsets and chunked
+        # syndromes replicate the *base class* semantics, so a subclass
+        # overriding any of them gets the reference path, not a wrong
+        # answer.
+        base = LinearBlockCode
+        self.linear_extract = type(code).extract_message is base.extract_message
+        # Messages occupy the top k bits of every codeword (G = [I_k | P]),
+        # so a stored message m is received as ``m ^ (error >> r)``.
+        self.systematic = type(code).encode is base.encode and all(
+            row >> r == 1 << (code.k - 1 - index)
+            for index, row in enumerate(code.generator.rows)
         )
-        exact_syndrome = type(code).syndrome is LinearBlockCode.syndrome
+        exact_syndrome = type(code).syndrome is base.syndrome
         if exact_syndrome:
+            # Spot-check against the raw H product (code.syndrome would
+            # charge ops.syndrome_computes to a build that charges none).
+            parity_check = code.parity_check
             probe = 0x9E3779B97F4A7C15 & self._word_mask
             for _ in range(_VERIFY_WORDS):
-                if self._syndrome_unchecked(probe) != code.syndrome(probe):
+                if self._syndrome_unchecked(probe) != parity_check.mul_vector(probe):
                     exact_syndrome = False
                     break
                 probe = (probe * 6364136223846793005 + 1442695040888963407) & self._word_mask
@@ -157,13 +159,14 @@ class DecodeTable:
         # of H columns).  An engine whose code corrects t >= 2 bits
         # (DEC/DECTED BCH) treats *triple*-bit patterns as its DUE
         # class, so serving it from 2-bit cosets would shadow the
-        # wider enumeration — demote such codes to the lazy path.
+        # wider enumeration — such codes take the reference path.
         self.radius_one = code.correctable_bits() == 1
-        #: True when the engine may serve recoveries straight from this
-        #: table; False falls back to the word-by-word reference path.
+        #: True when engines may serve recoveries straight from this
+        #: table; False leaves them on the word-by-word reference path.
         self.supports_fast_path = (
             self.radius_one
             and self.linear_extract
+            and self.systematic
             and self.exact_syndrome
             and self.offsets_distinct
         )
@@ -193,12 +196,6 @@ class DecodeTable:
             "decode_table.build_seconds",
             help="Wall time to build one syndrome decode table",
         ).observe(self.build_seconds)
-        # The whole pair enumeration and chunk-table precompute are
-        # charged here, once; per-recovery fast-path charges then cover
-        # only the probes a lookup actually performs (ops-additivity).
-        registry.counter(
-            "ops.xor", help="Modeled GF(2) XOR word operations"
-        ).inc(len(pair_syndromes) * n + chunk_xors)
 
     @property
     def code(self) -> LinearBlockCode:
@@ -231,11 +228,10 @@ class DecodeTable:
                 + sys.getsizeof(entry.offsets)
                 + sys.getsizeof(entry.mask_by_offset)
             )
-            total += sum(sys.getsizeof(mask) for mask in entry.masks)
-            total += sum(sys.getsizeof(offset) for offset in entry.offsets)
+            total += sum(map(sys.getsizeof, entry.masks))
+            total += sum(map(sys.getsizeof, entry.offsets))
         for _, _, table in self._chunks:
-            total += sys.getsizeof(table)
-            total += sum(sys.getsizeof(value) for value in table)
+            total += sys.getsizeof(table) + sum(map(sys.getsizeof, table))
         return total
 
     def _syndrome_unchecked(self, received: int) -> int:
@@ -254,20 +250,9 @@ class DecodeTable:
             raise DecodingError(
                 f"received word 0x{received:x} does not fit in {self._n} bits"
             )
-        syndrome = 0
-        for low, mask, table in self._chunks:
-            syndrome ^= table[(received >> low) & mask]
-        return syndrome
+        return self._syndrome_unchecked(received)
 
     def entry(self, syndrome: int) -> DecodeEntry | None:
-        """The precompiled entry for *syndrome*, or ``None`` when no
-        column pair of H produces it (the radius-escalation case)."""
+        """The entry for *syndrome*, or ``None`` when no column pair
+        of H produces it (the radius-escalation case)."""
         return self._entries.get(syndrome)
-
-    def pair_masks(self, syndrome: int) -> tuple[int, ...]:
-        """Drop-in for ``CandidateEnumerator.pair_masks``: identical
-        tuples in identical order, for *every* syndrome (an absent
-        entry means no pair produces it, so the walk would find none).
-        """
-        entry = self._entries.get(syndrome)
-        return entry.masks if entry is not None else ()

@@ -91,7 +91,7 @@ SELECTOR_FIELD_MASKS: tuple[int, ...] = tuple(
 
 #: Union of every selector mask (0xFFFF003F).  Two words that agree on
 #: these bits decode to the same spec, which is what lets the
-#: precompiled recovery fast path key filter verdicts and ranker scores
+#: decode-table recovery path key filter verdicts and ranker scores
 #: by ``word & ALL_SELECTOR_FIELDS`` instead of the full word.
 ALL_SELECTOR_FIELDS: int = 0
 for _mask in SELECTOR_FIELD_MASKS:

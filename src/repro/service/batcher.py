@@ -1,7 +1,7 @@
 """Micro-batching over a bounded queue with explicit backpressure.
 
 The recovery engine is fastest when it drains many words back-to-back
-(syndrome memoization, context-cache locality), but service requests
+(decision rows stay warm per context), but service requests
 arrive one at a time.  :class:`RecoveryBatcher` sits between the two:
 
 - **Bounded queue** — ``submit`` either enqueues or raises
@@ -58,7 +58,8 @@ __all__ = ["RecoveryBatcher", "ShardedBatcher"]
 BatchExecutor = Callable[[Sequence[RecoveryRequest]], "list[dict]"]
 
 #: Starting estimate of seconds of engine work per word, before any
-#: batch has been measured (a memoized recover() is tens of µs).
+#: batch has been measured (a recover() that builds its decision row
+#: is tens of µs).
 _INITIAL_SECONDS_PER_WORD = 5e-5
 
 #: EWMA smoothing for the measured per-word cost.

@@ -79,23 +79,18 @@ class ServiceCatalog:
         Synthesis knobs for lazily-built benchmark contexts; pinned
         defaults match the CLI's, so service answers line up with
         ``repro recover``-style offline runs.
-    precompile:
-        Build each engine's syndrome decode table when the engine is
-        built (default).  Precompiled answers are bit-identical to
-        reference ones (``SwdEcc.precompile``), so this is purely a
-        latency/CPU trade: ~10 ms once per engine per worker versus a
-        table-lookup hot path on every recovery.
+
+    Engines serve from their code's decode table, built (about 10 ms)
+    when the code's first engine is.
     """
 
     def __init__(
         self,
         image_length: int = _CONTEXT_IMAGE_LENGTH,
         seed: int = _CONTEXT_SEED,
-        precompile: bool = True,
     ) -> None:
         self._image_length = image_length
         self._seed = seed
-        self._precompile = precompile
         self._lock = Lock()
         self._codes: dict[str, LinearBlockCode] = {}
         self._engines: dict[str, SwdEcc] = {}
@@ -115,11 +110,6 @@ class ServiceCatalog:
     def seed(self) -> int:
         """Synthesis seed for lazily-built benchmark contexts."""
         return self._seed
-
-    @property
-    def precompile(self) -> bool:
-        """Whether engines are built with precompiled decode tables."""
-        return self._precompile
 
     # ------------------------------------------------------------------
     # Registration / enumeration
@@ -262,8 +252,6 @@ class ServiceCatalog:
                     code,
                     tie_break=TieBreak.FIRST,
                     rng=random.Random(0),
-                    cache=True,
-                    precompile=self._precompile,
                 )
                 self._engines[code_id] = engine
             return engine

@@ -803,7 +803,6 @@ class RecoveryService:
             "overload_policy": self._overload_policy,
             "batching": batcher.running if batcher else False,
             "workers": self._workers,
-            "precompile": self._catalog.precompile,
         }
         pool = self._pool
         if pool is not None:

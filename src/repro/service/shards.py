@@ -76,7 +76,7 @@ def route_key(code_id: str, context_id: str, shards: int) -> int:
 
     A stable content hash (not Python's randomized ``hash``) so the
     same context always drains through the same shard's engine — that
-    is what keeps the per-shard syndrome/filter/ranker caches hot —
+    is what keeps the per-shard decision-row caches hot —
     and so tests and a future consistent-hash fleet router can predict
     placement.
     """
@@ -98,10 +98,6 @@ class ShardSpec(NamedTuple):
     contexts: tuple[tuple[str, RecoveryContext], ...] = ()
     report_cost: bool = False
     result_cache_limit: int = DEFAULT_RESULT_CACHE_LIMIT
-    #: Pre-warm each worker's engines with precompiled syndrome decode
-    #: tables (mirrors ServiceCatalog's flag; built during the shard
-    #: initializer, before the shard serves its first batch).
-    precompile: bool = True
 
     @classmethod
     def from_catalog(
@@ -120,7 +116,6 @@ class ShardSpec(NamedTuple):
             contexts=tuple(sorted(contexts.items())),
             report_cost=report_cost,
             result_cache_limit=result_cache_limit,
-            precompile=catalog.precompile,
         )
 
 
@@ -334,9 +329,7 @@ def _shard_initializer(spec: ShardSpec) -> None:
     event_log = obs_events.get_event_log()
     event_log.clear()
     catalog = ServiceCatalog(
-        image_length=spec.image_length,
-        seed=spec.seed,
-        precompile=spec.precompile,
+        image_length=spec.image_length, seed=spec.seed
     )
     for code_id, code in spec.codes:
         catalog.register_code(code_id, code)

@@ -2,9 +2,8 @@
 
 The acceleration contract (see ``docs/performance.md``) has two halves:
 
-- results: a ``jobs > 1`` sweep — and the memoized/vectorized serial
-  path itself — must be *bit-identical* to the uncached per-word
-  reference implementation;
+- results: a ``jobs > 1`` sweep — and the decode-table serial path
+  itself — must be *bit-identical* to the per-word reference oracle;
 - observability: worker-process metric deltas must fold back into the
   parent registry so counter totals match a serial run.
 """
@@ -128,27 +127,25 @@ class TestWorkerMetricsAggregation:
     def test_cache_counter_totals_survive_aggregation(
         self, code, mcf_image, patterns
     ):
-        parallel = self._sweep_with_registry(code, mcf_image, patterns, JOBS)
-        # Every pattern asks the enumerator for its syndrome's pair set
-        # exactly once, in whichever worker swept it.
-        candidate_lookups = (
-            parallel.counter("candidates.cache_hits").value
-            + parallel.counter("candidates.cache_misses").value
-        )
-        assert candidate_lookups == len(patterns)
-        # Filter and ranker caches see every per-message query; the
-        # hit/miss split depends on chunking but the total does not.
+        """Every ``ops.*`` and ``swdecc.*`` counter and histogram totals
+        the same whether one process sweeps or four: workers rebuild the decode
+        table, whose build charges no ops, and nothing else depends on
+        how the patterns are chunked."""
         serial = self._sweep_with_registry(code, mcf_image, patterns, 1)
-        for name in ("filter", "ranker"):
-            serial_total = (
-                serial.counter(f"{name}.cache_hits").value
-                + serial.counter(f"{name}.cache_misses").value
-            )
-            parallel_total = (
-                parallel.counter(f"{name}.cache_hits").value
-                + parallel.counter(f"{name}.cache_misses").value
-            )
-            assert parallel_total == serial_total, name
+        parallel = self._sweep_with_registry(code, mcf_image, patterns, JOBS)
+
+        def totals(registry):
+            return {
+                name: snapshot
+                for name, snapshot in registry.as_dict().items()
+                if name.startswith(("ops.", "swdecc."))
+            }
+
+        assert totals(parallel) == totals(serial)
+        assert serial.counter("ops.filter_evals").value > 0
+        assert serial.histogram("swdecc.candidates").count == (
+            len(patterns) * WINDOW
+        )
 
     def test_worker_histograms_merge_into_parent(
         self, code, mcf_image, patterns

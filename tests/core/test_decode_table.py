@@ -1,11 +1,13 @@
-"""Precompiled decode tables: bit-identity, fallbacks, and bounds.
+"""Decode tables: bit-identity with the reference oracle, fallbacks, bounds.
 
-The fast path's contract is *bit-identity*: a precompiled engine must
-return results indistinguishable from the reference pipeline — same
-fields, same tie-break RNG consumption, same exceptions with the same
-messages — across every double-bit syndrome, plus clean bypasses for
-everything the table does not cover (radius escalation) and clean
-interop for everything downstream (equality, hashing, pickling).
+The table path's contract is *bit-identity*: ``SwdEcc()`` must return
+results indistinguishable from the cache-free oracle
+``SwdEcc(cache=False)`` — same fields, same tie-break RNG consumption,
+same exceptions with the same messages — across every double-bit
+syndrome, from ``recover()`` and from ``sweep_probabilities()``, plus
+clean bypasses for everything the table does not cover (radius
+escalation) and clean interop for everything downstream (equality,
+hashing, pickling).  The oracle never touches the table it checks.
 """
 
 from __future__ import annotations
@@ -18,10 +20,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.sweep import RecoveryStrategy
+from repro.core.filters import InstructionLegalityFilter
+from repro.core.rankers import FrequencyRanker, UniformRanker
 from repro.core.sideinfo import RecoveryContext
 from repro.core.swdecc import RecoveryResult, SwdEcc, TieBreak
 from repro.ecc import canonical_secded_39_32, hsiao_39_32
-from repro.ecc.candidates import MAX_RADIUS_ENTRIES, CandidateEnumerator
+from repro.ecc.candidates import CandidateEnumerator
 from repro.ecc.channel import double_bit_patterns
 from repro.ecc.code import DecodeStatus
 from repro.ecc.decode_table import DecodeTable
@@ -43,13 +48,13 @@ IMAGE = synthesize_benchmark("mcf", length=512, seed=2016)
 CONTEXT = RecoveryContext.for_instructions(FrequencyTable.from_image(IMAGE))
 
 
-def _engines(tie_break=TieBreak.FIRST, seed=0):
-    """An identically configured (precompiled, reference) engine pair."""
-    fast = SwdEcc(
-        CODE, tie_break=tie_break, rng=random.Random(seed), precompile=True
+def _engines(tie_break=TieBreak.FIRST, seed=0, code=CODE):
+    """An identically configured (table, oracle) engine pair."""
+    fast = SwdEcc(code, tie_break=tie_break, rng=random.Random(seed))
+    reference = SwdEcc(
+        code, tie_break=tie_break, rng=random.Random(seed), cache=False
     )
-    reference = SwdEcc(CODE, tie_break=tie_break, rng=random.Random(seed))
-    assert fast.precompiled and not reference.precompiled
+    assert reference.decode_table is None
     return fast, reference
 
 
@@ -69,33 +74,41 @@ def test_table_covers_all_double_bit_syndromes():
 
 def test_table_pair_masks_match_lazy_enumerator():
     table = DecodeTable(CODE)
-    lazy = CandidateEnumerator(CODE)
+    walk = CandidateEnumerator(CODE)
     seen = set()
     for pattern in PATTERNS:
         syndrome = CODE.syndrome(pattern)
         if syndrome in seen:
             continue
         seen.add(syndrome)
-        assert table.pair_masks(syndrome) == lazy.pair_masks(syndrome)
-    # Syndromes no pair produces answer the empty tuple, like the walk.
+        assert table.entry(syndrome).masks == walk.pair_masks(syndrome)
+    # Syndromes no pair produces have no entry; the walk finds none.
     uncovered = next(
         s for s in range(1, 128) if table.entry(s) is None
     )
-    assert table.pair_masks(uncovered) == lazy.pair_masks(uncovered) == ()
+    assert walk.pair_masks(uncovered) == ()
 
 
 @settings(max_examples=100, deadline=None)
 @given(received=st.integers(min_value=0, max_value=(1 << CODE.n) - 1))
 def test_chunked_syndrome_matches_code(received):
-    table = DecodeTable(CODE)
-    assert table.syndrome_of(received) == CODE.syndrome(received)
+    assert CODE.decode_table.syndrome_of(received) == CODE.syndrome(received)
 
 
-def test_install_table_rejects_foreign_code():
-    table = DecodeTable(CODE)
-    enumerator = CandidateEnumerator(hsiao_39_32())
-    with pytest.raises(DecodingError, match="different code"):
-        enumerator.install_table(table)
+def test_precompile_is_idempotent():
+    """The table belongs to the code: built once, shared by every
+    engine over that code object, and left behind when the code is
+    pickled (the receiver rebuilds it on first use)."""
+    code = hsiao_39_32()
+    table = code.decode_table
+    assert table.code is code
+    assert code.decode_table is table
+    assert SwdEcc(code).decode_table is table
+    assert SwdEcc(code, ranker=UniformRanker()).decode_table is table
+    clone = pickle.loads(pickle.dumps(code))
+    assert clone._decode_table is None
+    assert clone.decode_table is not table
+    assert clone.decode_table.entries.keys() == table.entries.keys()
 
 
 def test_build_registers_metrics():
@@ -254,6 +267,60 @@ def test_non_due_errors_match_reference(received):
 
 
 # ---------------------------------------------------------------------------
+# Bit-identity of sweep_probabilities()
+# ---------------------------------------------------------------------------
+
+
+def _strategy_engine(strategy, tie_break, cache):
+    """The sweep's engine for *strategy*, under either tie-break."""
+    if strategy is RecoveryStrategy.RANDOM_CANDIDATE:
+        filters, ranker = (), UniformRanker()
+    elif strategy is RecoveryStrategy.FILTER_ONLY:
+        filters, ranker = (InstructionLegalityFilter(),), UniformRanker()
+    else:
+        filters, ranker = (InstructionLegalityFilter(),), FrequencyRanker()
+    return SwdEcc(
+        CODE, filters=filters, ranker=ranker, tie_break=tie_break,
+        rng=random.Random(0), cache=cache,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    strategy=st.sampled_from(RecoveryStrategy),
+    tie_break=st.sampled_from(TieBreak),
+    messages=st.lists(
+        st.integers(min_value=0, max_value=(1 << 32) - 1),
+        min_size=1, max_size=6,
+    ),
+    positions=st.lists(
+        st.integers(min_value=0, max_value=CODE.n - 1),
+        min_size=2, max_size=4, unique=True,
+    ),
+)
+def test_sweep_probabilities_match_oracle(
+    strategy, tie_break, messages, positions
+):
+    """Every strategy and tie-break, over 2- to 4-bit patterns: table
+    entries, escalations and non-DUE patterns alike.  (The table path
+    draws no tie-break RNG: its probabilities are exact.)"""
+    error = 0
+    for position in positions:
+        error |= 1 << (CODE.n - 1 - position)
+    fast = _strategy_engine(strategy, tie_break, cache=True)
+    oracle = _strategy_engine(strategy, tie_break, cache=False)
+    assert fast.decode_table is not None and oracle.decode_table is None
+    try:
+        expected = oracle.sweep_probabilities(messages, error, CONTEXT)
+    except DecodingError as oracle_error:
+        with pytest.raises(DecodingError) as fast_error:
+            fast.sweep_probabilities(messages, error, CONTEXT)
+        assert str(fast_error.value) == str(oracle_error)
+        return
+    assert fast.sweep_probabilities(messages, error, CONTEXT) == expected
+
+
+# ---------------------------------------------------------------------------
 # Result interop (lazy fields, pickling, copying)
 # ---------------------------------------------------------------------------
 
@@ -279,55 +346,66 @@ def test_lazy_result_pickles_and_copies_as_plain_result():
 
 
 # ---------------------------------------------------------------------------
-# Engine configuration guards
+# Engine configuration
 # ---------------------------------------------------------------------------
-
-
-def test_precompile_requires_cache():
-    with pytest.raises(ValueError, match="requires cache=True"):
-        SwdEcc(CODE, precompile=True, cache=False)
-
-
-def test_precompile_is_idempotent():
-    engine = SwdEcc(CODE, precompile=True)
-    table = engine.decode_table
-    assert engine.precompile() is table
 
 
 def test_service_catalog_precompiles_by_default():
+    """Catalog engines serve from their code's decode table."""
     from repro.service.catalog import DEFAULT_CODE_ID, ServiceCatalog
 
-    assert ServiceCatalog().engine(DEFAULT_CODE_ID).precompiled
-    assert not ServiceCatalog(precompile=False).engine(
-        DEFAULT_CODE_ID
-    ).precompiled
+    catalog = ServiceCatalog()
+    engine = catalog.engine(DEFAULT_CODE_ID)
+    assert engine.decode_table is catalog.code(DEFAULT_CODE_ID).decode_table
+
+
+def test_unhooked_ranker_keeps_the_oracle_path():
+    """A ranker without a spec hook (it reads more than the decoded
+    spec) must not be served from decision rows."""
+
+    class ParityRanker(FrequencyRanker):
+        def score(self, message, context):
+            return float(message & 1)
+
+    engine = SwdEcc(CODE, ranker=ParityRanker())
+    assert engine.decode_table is None
+    received = CODE.encode(IMAGE.words[3]) ^ PATTERNS[5]
+    reference = SwdEcc(CODE, ranker=ParityRanker(), cache=False)
+    assert engine.recover(received, CONTEXT) == reference.recover(
+        received, CONTEXT
+    )
 
 
 # ---------------------------------------------------------------------------
-# Escalation memo bound (clear-in-place, like ContextCache)
+# Decision-row cache bound
 # ---------------------------------------------------------------------------
 
+#: Rows one engine may hold per context (about 4 MiB).
+ROW_CACHE_LIMIT = 4096
 
-def test_radius_offsets_memo_is_bounded():
-    enumerator = CandidateEnumerator(CODE)
-    memo = enumerator._radius_offsets
-    for fake_key in range(MAX_RADIUS_ENTRIES):
-        memo[(1 << 20) + fake_key, 3] = ()
-    assert len(memo) == MAX_RADIUS_ENTRIES
 
-    received = CODE.encode(0xABCD) ^ 0b111  # triple error: escalates
-    result = enumerator.candidates_within_radius(received, 3)
-    assert result  # the original codeword is within radius 3
-    # The cap cleared the memo in place (same dict object) and the new
-    # entry was recorded afterwards.
-    assert enumerator._radius_offsets is memo
-    assert len(memo) == 1
-    # A repeat enumeration is served from the freshly stored entry.
-    assert enumerator.candidates_within_radius(received, 3) == result
+def test_row_cache_is_bounded_and_answers_stay_exact():
+    """5,000 never-repeating DUEs in one context: the row cache stays
+    within its cap and every answer still equals the oracle."""
+    fast, reference = _engines()
+    rng = random.Random(2016)
+    words = set()
+    while len(words) < 5000:
+        words.add(CODE.encode(rng.getrandbits(32)) ^ rng.choice(PATTERNS))
+    classes = {
+        (CODE.syndrome(word), (word >> 7) & ALL_SELECTOR_FIELDS)
+        for word in words
+    }
+    assert len(classes) > ROW_CACHE_LIMIT  # the cap must be crossed
+    peak = 0
+    for word in sorted(words):
+        assert fast.recover(word, CONTEXT) == reference.recover(word, CONTEXT)
+        peak = max(peak, len(fast._row_cache))
+    assert 0 < peak <= ROW_CACHE_LIMIT
 
 
 # ---------------------------------------------------------------------------
-# Correctable-radius guard (t >= 2 codes must demote to the lazy path)
+# Correctable-radius guard (t >= 2 codes must take the reference path)
 # ---------------------------------------------------------------------------
 
 
@@ -354,18 +432,15 @@ def test_radius_one_guard_demotes_dec_and_dected():
 def test_precompiled_dec_engine_uses_reference_path():
     from repro.ecc.bch import dec_code
 
-    engine = SwdEcc(
-        dec_code(), tie_break=TieBreak.FIRST, rng=random.Random(0),
-        precompile=True,
-    )
-    # The table exists (pair_masks delegation stays useful) but must
-    # not arm the recovery fast path.
-    assert engine.decode_table is not None
-    assert not engine.decode_table.supports_fast_path
+    code = dec_code()
+    engine = SwdEcc(code, tie_break=TieBreak.FIRST, rng=random.Random(0))
+    # The code's table exists but must not arm the table path.
+    assert not code.decode_table.supports_fast_path
+    assert engine.decode_table is None
 
 
 def test_dec_precompile_bit_identical_regression():
-    """(44, 32) DEC with precompile=True == reference, word for word.
+    """(44, 32) DEC: the default engine == the oracle, word for word.
 
     DEC corrects doubles in hardware, so its DUE class is triples; a
     2-bit-coset table serving those would shadow the wider enumeration.
@@ -373,11 +448,7 @@ def test_dec_precompile_bit_identical_regression():
     from repro.ecc.bch import dec_code
 
     code = dec_code()
-    fast = SwdEcc(
-        code, tie_break=TieBreak.FIRST, rng=random.Random(0),
-        precompile=True,
-    )
-    reference = SwdEcc(code, tie_break=TieBreak.FIRST, rng=random.Random(0))
+    fast, reference = _engines(code=code)
     rng = random.Random(2016)
     compared = 0
     while compared < 25:
@@ -399,11 +470,8 @@ def test_daec_precompiled_identical_on_non_adjacent_doubles():
     from repro.ecc.daec import daec_code
 
     code = daec_code()
-    fast = SwdEcc(
-        code, tie_break=TieBreak.FIRST, rng=random.Random(0),
-        precompile=True,
-    )
-    reference = SwdEcc(code, tie_break=TieBreak.FIRST, rng=random.Random(0))
+    fast, reference = _engines(code=code)
+    assert fast.decode_table is code.decode_table
     rng = random.Random(7)
     for _ in range(25):
         message = IMAGE.words[rng.randrange(len(IMAGE.words))]
