@@ -119,9 +119,22 @@ class RecoveryResult:
         """Size of the filtered list (Fig. 5b)."""
         return len(self.valid_messages)
 
+    def ranked_targets(self) -> list[tuple[int, float]]:
+        """``(message, score)`` per surviving message, best first.
+
+        Score descending, then message ascending — the deterministic
+        tie order the FIRST tie-break picks from.
+        """
+        return sorted(zip(self.valid_messages, self.scores), key=_target_order)
+
     def recovered(self, original_message: int) -> bool:
         """Did the attempt pick the true original message?"""
         return self.chosen_message == original_message
+
+
+def _target_order(pair: tuple[int, float]) -> tuple[float, int]:
+    """Sort key of :meth:`RecoveryResult.ranked_targets`."""
+    return -pair[1], pair[0]
 
 
 #: RecoveryResult fields, in declaration order (for the lazy variant's
@@ -148,10 +161,33 @@ class _TableResult(RecoveryResult):
     ``chosen_codeword``, so the tuples are reconstructed on first
     access instead of per call.  Every field, once read, is
     bit-identical to the reference path's, and equality/hash/pickle
-    interoperate with plain results.  Built by
+    interoperate with plain results.  :meth:`ranked_targets`,
+    ``num_candidates`` and ``num_valid`` are answered from the decision
+    row and the table entry without materializing any tuple.  Built by
     :meth:`SwdEcc._recover_from_table`, which fills the instance dict
     directly.
     """
+
+    @property
+    def num_candidates(self) -> int:
+        return len(self._entry.offsets)
+
+    @property
+    def num_valid(self) -> int:
+        # The row's pool is the filter's survivors, or every candidate
+        # when the filter fell back: exactly ``valid_messages``.
+        return len(self._row[0])
+
+    def ranked_targets(self) -> list[tuple[int, float]]:
+        received_message = self._received_message
+        row = self._row
+        return sorted(
+            [
+                (received_message ^ offset, score)
+                for offset, score in zip(row[0], row[1])
+            ],
+            key=_target_order,
+        )
 
     def __getattr__(self, name: str):
         if name == "candidates":

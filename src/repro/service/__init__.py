@@ -20,6 +20,7 @@ from repro.service.api import (
     RecoveryRequest,
     detect_only_payload,
     error_payload,
+    result_fragment,
     result_payload,
 )
 from repro.service.batcher import RecoveryBatcher, ShardedBatcher
@@ -42,6 +43,7 @@ __all__ = [
     "detect_only_payload",
     "error_payload",
     "result_payload",
+    "result_fragment",
     "RecoveryBatcher",
     "ShardedBatcher",
     "BatchEngine",

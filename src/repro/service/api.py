@@ -12,6 +12,9 @@ are wider than 32 bits, so hex is the ergonomic spelling).
 
 from __future__ import annotations
 
+import json
+import math
+import threading
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -24,6 +27,7 @@ __all__ = [
     "RecoveryRequest",
     "parse_word",
     "result_payload",
+    "result_fragment",
     "error_payload",
     "detect_only_payload",
     "MAX_BATCH_WORDS",
@@ -33,6 +37,10 @@ __all__ = [
 #: whole queue; oversized batches are a malformed request (413), not
 #: backpressure.
 MAX_BATCH_WORDS = 4096
+
+#: Longest per-request wait: a future's wait raises OverflowError past
+#: the platform's lock-timeout limit (about 292 years).
+MAX_TIMEOUT_MS = threading.TIMEOUT_MAX * 1000.0
 
 
 def parse_word(raw: Any, width_bits: int) -> int:
@@ -114,9 +122,13 @@ class RecoveryRequest:
             if (
                 isinstance(raw_timeout, bool)
                 or not isinstance(raw_timeout, (int, float))
-                or raw_timeout <= 0
+                or not 0 < raw_timeout < math.inf  # also rejects NaN
             ):
                 raise ServiceError("'timeout_ms' must be a positive number")
+            if raw_timeout > MAX_TIMEOUT_MS:
+                raise ServiceError(
+                    f"'timeout_ms' must be at most {MAX_TIMEOUT_MS:.0f}"
+                )
             timeout_s = float(raw_timeout) / 1000.0
         raw = body.get("received")
         if raw is None:
@@ -151,29 +163,65 @@ def result_payload(received: int, result: RecoveryResult) -> dict:
     fallback, all candidates) sorted best-first: score descending,
     message ascending as the deterministic tie order — the same order
     the FIRST tie-break picks from.
+
+    The reference for :func:`result_fragment`, which the service uses
+    to write the same payload as JSON text.
     """
-    ranked = sorted(
-        zip(result.valid_messages, result.scores),
-        key=lambda pair: (-pair[1], pair[0]),
-    )
+    chosen = result.chosen_message
     return {
         "status": "recovered",
         "received": received,
-        "chosen_message": result.chosen_message,
+        "chosen_message": chosen,
         "chosen_codeword": result.chosen_codeword,
         "num_candidates": result.num_candidates,
         "num_valid": result.num_valid,
         "filter_fell_back": result.filter_fell_back,
         "tied": result.tied,
         "targets": [
-            {
-                "message": message,
-                "score": score,
-                "chosen": message == result.chosen_message,
-            }
-            for message, score in ranked
+            {"message": message, "score": score, "chosen": message == chosen}
+            for message, score in result.ranked_targets()
         ],
     }
+
+
+def _json_value(value: Any) -> str:
+    """``json.dumps(value)``, with plain ints, finite floats and bools
+    written directly (as the encoder writes them)."""
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and value - value == 0.0:  # NaN and ±inf give NaN
+        return float.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    return json.dumps(value)
+
+
+def result_fragment(received: int, result: RecoveryResult) -> str:
+    """The JSON text of :func:`result_payload`, written directly.
+
+    Byte-identical to ``json.dumps(result_payload(received, result),
+    sort_keys=True)`` — keys in sorted order, the encoder's default
+    separators — without building the payload dict or running the
+    encoder.
+    """
+    chosen = result.chosen_message
+    targets = ", ".join([
+        f'{{"chosen": {"true" if message == chosen else "false"}, '
+        f'"message": {_json_value(message)}, '
+        f'"score": {_json_value(score)}}}'
+        for message, score in result.ranked_targets()
+    ])
+    return (
+        f'{{"chosen_codeword": {_json_value(result.chosen_codeword)}, '
+        f'"chosen_message": {_json_value(chosen)}, '
+        f'"filter_fell_back": {_json_value(result.filter_fell_back)}, '
+        f'"num_candidates": {_json_value(result.num_candidates)}, '
+        f'"num_valid": {_json_value(result.num_valid)}, '
+        f'"received": {_json_value(received)}, '
+        f'"status": "recovered", "targets": [{targets}], '
+        f'"tied": {_json_value(result.tied)}}}'
+    )
 
 
 def error_payload(received: int, error: Exception) -> dict:

@@ -624,7 +624,9 @@ class RecoveryService:
         self._c_requests.inc()
         try:
             parsed = json.loads(body)
-        except json.JSONDecodeError as error:
+        except ValueError as error:
+            # JSONDecodeError, or a plain ValueError for an integer
+            # literal past the interpreter's digit limit.
             raise ServiceError(f"request body is not valid JSON: {error}")
         request = api.RecoveryRequest.from_json(
             parsed, batch=batch,

@@ -34,10 +34,12 @@ Three properties carry over from the single-process design:
 wire payloads — also serves the single-process mode (``workers=0``),
 so both paths share one executor and one served-answer cache: answers
 are deterministic, so each ``(code, context, word)`` is recovered once
-and then replayed as a pre-serialized JSON fragment (a dict probe
-instead of ~28 µs of engine work plus ~15 µs of ``json.dumps``).  The
-cache is disabled under per-request cost reporting, which needs true
-op-count deltas.
+and then replayed as its JSON fragment, written by
+:func:`~repro.service.api.result_fragment` — a dict probe instead of
+~38 µs in ``recover()`` plus ~39 µs of fragment writing and
+bookkeeping per word (medians of three traced perfbench ``distinct``
+runs on a 2-vCPU VM, Python 3.11).  The cache is disabled under
+per-request cost reporting, which needs true op-count deltas.
 """
 
 from __future__ import annotations
@@ -244,11 +246,12 @@ class BatchEngine:
                         result = engine.recover(word, context)
                     except ReproError as error:
                         ok = False
-                        payload = api.error_payload(word, error)
+                        fragment = json.dumps(
+                            api.error_payload(word, error), sort_keys=True
+                        )
                     else:
                         ok = True
-                        payload = api.result_payload(word, result)
-                    fragment = json.dumps(payload, sort_keys=True)
+                        fragment = api.result_fragment(word, result)
                     recovered += ok
                     failed += not ok
                     if cache is not None:

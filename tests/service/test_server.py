@@ -17,11 +17,13 @@ from repro.service import RecoveryService, ServiceCatalog
 from repro.service.catalog import DEFAULT_CODE_ID
 
 
-def post(url: str, payload: dict, timeout: float = 10.0):
-    """POST JSON, returning (status, parsed body, headers)."""
+def post(url: str, payload: dict | str, timeout: float = 10.0):
+    """POST JSON (a payload, or raw JSON text), returning (status,
+    parsed body, headers)."""
+    text = payload if isinstance(payload, str) else json.dumps(payload)
     request = urllib.request.Request(
         url,
-        data=json.dumps(payload).encode(),
+        data=text.encode(),
         headers={"Content-Type": "application/json"},
     )
     try:
@@ -138,6 +140,39 @@ class TestRecoverEndpoints:
             service.url + "/recover/batch", {"received": []}
         )
         assert status == 400
+
+    @pytest.mark.parametrize(
+        "timeout_ms, error",
+        [
+            ("Infinity", "'timeout_ms' must be a positive number"),
+            ("-Infinity", "'timeout_ms' must be a positive number"),
+            ("NaN", "'timeout_ms' must be a positive number"),
+            ("1e400", "'timeout_ms' must be a positive number"),
+            ("1e300", "'timeout_ms' must be at most"),
+            ("1" + "0" * 300, "'timeout_ms' must be at most"),
+        ],
+        ids=["inf", "-inf", "nan", "1e400", "1e300", "10**300"],
+    )
+    def test_unusable_timeout_is_400(
+        self, service, due_word, timeout_ms, error
+    ):
+        status, body, _ = post(
+            service.url + "/recover",
+            f'{{"received": {due_word}, "timeout_ms": {timeout_ms}}}',
+        )
+        assert status == 400
+        assert body["error"].startswith(error)
+        assert service.registry.get("service.timeouts").value == 0
+
+    @pytest.mark.parametrize("path", ["/recover", "/recover/batch"])
+    def test_integer_past_digit_limit_is_400(self, service, path):
+        digits = "7" * 5000  # past the interpreter's 4,300-digit limit
+        received = f"[{digits}]" if path.endswith("batch") else digits
+        status, body, _ = post(
+            service.url + path, f'{{"received": {received}}}'
+        )
+        assert status == 400
+        assert body["error"].startswith("request body is not valid JSON")
 
     def test_unknown_post_path_is_404(self, service):
         status, body, _ = post(service.url + "/nope", {"received": 1})
