@@ -64,9 +64,7 @@ def _append_history(record) -> None:
 
 
 def _measure(workers: int, words_per_request: int, words):
-    service = RecoveryService(
-        port=0, max_batch=1024, linger_s=0.001, workers=workers
-    )
+    service = RecoveryService(port=0, max_batch=1024, workers=workers)
     service.catalog.preload([CONTEXT])  # before start: shards fork warm
     with service:
         # Warm-up: populate the engines' decision rows and the

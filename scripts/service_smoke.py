@@ -155,7 +155,6 @@ def check_overload_degrades(failures: list[str]) -> None:
         registry=MetricsRegistry(),
         event_log=EventLog(),
         max_batch=1,
-        linger_s=0.0,
         queue_limit=1,
         overload_policy="degrade",
     )

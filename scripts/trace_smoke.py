@@ -10,11 +10,11 @@ enabled and asserts, exiting nonzero on any violation:
   unsampled inbound header (flags ``00``) propagates ids without
   retaining a trace;
 - ``/metrics`` strict-parses (:func:`repro.obs.promtext.parse_exposition`)
-  and carries all five ``service_stage_*`` latency histogram families
+  and carries all four ``service_stage_*`` latency histogram families
   with counts covering every request served;
 - ``GET /traces`` returns JSON span trees in which every span's
   parent resolves within its tree, stage names are well-formed, every
-  sampled request's trace id is retained, the five stage spans sit
+  sampled request's trace id is retained, the four stage spans sit
   under a ``service.request`` root in chronological order summing to
   no more than the end-to-end duration, and the worker-side
   ``service.shard.execute`` span is nested inside ``shard_exec``;
@@ -40,14 +40,12 @@ from repro.service.loadgen import generate_due_words
 CONTEXT = "mcf"
 STAGE_FAMILIES = (
     "service_stage_queue_wait",
-    "service_stage_linger",
     "service_stage_shard_exec",
     "service_stage_serialize",
     "service_stage_respond",
 )
 STAGE_SPAN_NAMES = (
     "service.stage.queue_wait",
-    "service.stage.linger",
     "service.stage.shard_exec",
     "service.stage.serialize",
     "service.stage.respond",
@@ -151,7 +149,7 @@ def main() -> int:
     words = generate_due_words(count=64, seed=3)
     collector = obs_trace.enable_tracing(obs_trace.SpanCollector())
     service = RecoveryService(
-        port=0, workers=2, max_batch=8, linger_s=0.001,
+        port=0, workers=2, max_batch=8,
         registry=MetricsRegistry(), event_log=EventLog(),
     )
     service.catalog.preload([CONTEXT])
@@ -274,7 +272,7 @@ def main() -> int:
     if not failures:
         print(
             f"trace smoke: OK ({len(collector.traces)} traces retained, "
-            f"{len(collector)} spans, all five stage histograms present)"
+            f"{len(collector)} spans, all four stage histograms present)"
         )
     return 1 if failures else 0
 

@@ -282,10 +282,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="bind address (default: loopback only)")
     recovery.add_argument("--max-batch", type=int, default=256,
                           metavar="WORDS",
-                          help="words per micro-batch before it closes")
-    recovery.add_argument("--linger-ms", type=float, default=2.0,
-                          metavar="MS",
-                          help="longest a batch waits for more requests")
+                          help="most words one micro-batch takes from the "
+                          "queue")
     recovery.add_argument("--queue-limit", type=int, default=4096,
                           metavar="WORDS",
                           help="queued words before backpressure engages")
@@ -727,7 +725,6 @@ def _command_serve_recovery(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         max_batch=args.max_batch,
-        linger_s=args.linger_ms / 1000.0,
         queue_limit=args.queue_limit,
         workers=args.workers,
         overload_policy=args.policy,

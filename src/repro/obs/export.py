@@ -131,8 +131,7 @@ def render_waterfall(trace: Mapping, width: int = 48) -> str:
     :meth:`repro.obs.trace.TraceEntry.as_dict` produces): each span
     prints indented under its parent with its duration and a bar
     positioned along the request's end-to-end window, so queue wait
-    vs. linger vs. shard execution vs. serialization reads off at a
-    glance.
+    vs. shard execution vs. serialization reads off at a glance.
     """
     root = trace["root"]
     total_ns = max(

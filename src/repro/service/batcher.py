@@ -1,18 +1,20 @@
 """Micro-batching over a bounded queue with explicit backpressure.
 
-The recovery engine is fastest when it drains many words back-to-back
-(decision rows stay warm per context), but service requests
-arrive one at a time.  :class:`RecoveryBatcher` sits between the two:
+Service requests arrive one at a time from many HTTP threads, but
+the engines must be driven by one consumer.  :class:`RecoveryBatcher`
+sits between the two:
 
 - **Bounded queue** — ``submit`` either enqueues or raises
   :class:`~repro.errors.ServiceOverloadError` with a ``retry_after``
   hint.  There is no unbounded buffering mode: when the queue is full
   the caller is told *now*, and the HTTP layer either rejects (429) or
   degrades to detect-only, per policy.
-- **Micro-batches** — a single worker thread gathers queued jobs until
-  ``max_batch`` words are in hand or the ``linger`` deadline passes
-  (whichever first), then executes them in one call.  Jobs are never
-  split, so a batch can exceed ``max_batch`` by at most one job.
+- **Micro-batches** — a single worker thread takes the jobs already
+  queued, up to ``max_batch`` words, and executes them at once in one
+  call.  It never waits for more company: a lone request runs as soon
+  as the worker is free, and requests that arrive while a batch runs
+  form the next one.  Jobs are never split, so a job larger than
+  ``max_batch`` runs as a batch of its own.
 - **Single consumer** — the worker thread is the only caller of the
   executor, so the engines' context caches need no locks and batched
   results are bit-identical to the same words run serially.
@@ -27,10 +29,10 @@ Multi-process mode layers :class:`ShardedBatcher` on top: a router
 over N single-consumer shard queues, one :class:`RecoveryBatcher` per
 :class:`~repro.service.shards.ShardPool` shard.  Requests route by
 their (code, context) hash — the same placement the pool uses — so a
-context's words always drain through one shard's engine and its
-caches stay hot.  Backpressure is per shard (a hot context saturating
-its shard 429s without starving cold contexts), and each shard batcher
-publishes its own ``service.shard.<i>.*`` metrics; the aggregate
+context's words always drain through one shard's engine.
+Backpressure is per shard (a hot context saturating its shard 429s
+without starving cold contexts), and each shard batcher publishes its
+own ``service.shard.<i>.*`` metrics; the aggregate
 ``service.queue_depth`` is derived from them at snapshot time.
 """
 
@@ -70,17 +72,15 @@ _EWMA_ALPHA = 0.2
 class _Job:
     """One queued request plus its completion future.
 
-    ``enqueued_ns`` / ``claimed_ns`` are ``perf_counter_ns`` readings
-    taken at submit time and at the moment the worker pops the job
-    from the queue; together with the batch's execute window they
-    decompose each request's latency into the ``service.stage.*``
-    histograms and spans.
+    ``enqueued_ns`` is the ``perf_counter_ns`` reading taken at submit
+    time; together with the batch's execute window it decomposes each
+    request's latency into the ``service.stage.*`` histograms and
+    spans.
     """
 
     request: RecoveryRequest
     future: Future = field(default_factory=Future)
     enqueued_ns: int = field(default_factory=time.perf_counter_ns)
-    claimed_ns: int = 0
 
     @property
     def words(self) -> int:
@@ -98,17 +98,16 @@ class RecoveryBatcher:
         never looks inside).  An exception fails every request in the
         batch.
     max_batch:
-        Word-count low-water mark that closes a batch early.
-    linger_s:
-        Longest a gathered batch waits for company before executing.
+        Most words one batch takes from the queue (a single larger job
+        still runs, alone).
     queue_limit:
         Maximum words queued (not yet executing).  ``submit`` beyond
         this raises :class:`ServiceOverloadError` — never buffers.
     registry:
         Metrics registry (default: the process registry).  Exposes
         ``<prefix>.queue_depth``, ``<prefix>.batch_words``,
-        ``<prefix>.batch_seconds``, ``<prefix>.batch_linger_seconds``,
-        ``<prefix>.batches``, and ``<prefix>.overloads``.
+        ``<prefix>.batch_seconds``, ``<prefix>.batches``, and
+        ``<prefix>.overloads``.
     metric_prefix:
         Namespace for this batcher's metrics (default ``service``).
         :class:`ShardedBatcher` uses ``service.shard.<i>`` so each
@@ -119,21 +118,17 @@ class RecoveryBatcher:
         self,
         execute: BatchExecutor,
         max_batch: int = 256,
-        linger_s: float = 0.002,
         queue_limit: int = 4096,
         registry: obs_metrics.MetricsRegistry | None = None,
         metric_prefix: str = "service",
     ) -> None:
         if max_batch < 1:
             raise ServiceError(f"max_batch must be >= 1, got {max_batch}")
-        if linger_s < 0:
-            raise ServiceError(f"linger_s must be >= 0, got {linger_s}")
         if queue_limit < 1:
             raise ServiceError(f"queue_limit must be >= 1, got {queue_limit}")
         self._execute = execute
         self._metric_prefix = metric_prefix
         self._max_batch = max_batch
-        self._linger_s = linger_s
         self._queue_limit = queue_limit
         self._cond = Condition()
         self._queue: deque[_Job] = deque()
@@ -157,11 +152,6 @@ class RecoveryBatcher:
             f"{metric_prefix}.batch_seconds",
             help="Executor wall time per batch",
         )
-        self._h_batch_linger = registry.histogram(
-            f"{metric_prefix}.batch_linger_seconds",
-            help="Queue wait per executed batch: execute start minus "
-            "the earliest member's enqueue time",
-        )
         self._c_batches = registry.counter(
             f"{metric_prefix}.batches", help="Micro-batches executed"
         )
@@ -175,11 +165,7 @@ class RecoveryBatcher:
         # many shards serve it (get-or-create makes this idempotent).
         self._h_stage_queue_wait = registry.histogram(
             "service.stage.queue_wait",
-            help="Per request: submit until the batch worker claimed it",
-        )
-        self._h_stage_linger = registry.histogram(
-            "service.stage.linger",
-            help="Per request: claimed until its batch began executing",
+            help="Per request: submit until its batch began executing",
         )
         self._h_stage_shard_exec = registry.histogram(
             "service.stage.shard_exec",
@@ -209,10 +195,7 @@ class RecoveryBatcher:
     def retry_after_hint(self) -> float:
         """Suggested client backoff, from the measured drain rate."""
         with self._cond:
-            backlog = self._queued_words
-            seconds_per_word = self._seconds_per_word
-        estimate = backlog * seconds_per_word + self._linger_s
-        return min(max(estimate, 0.001), 5.0)
+            return self._retry_after_locked()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -295,9 +278,7 @@ class RecoveryBatcher:
         return job.future
 
     def _retry_after_locked(self) -> float:
-        estimate = (
-            self._queued_words * self._seconds_per_word + self._linger_s
-        )
+        estimate = self._queued_words * self._seconds_per_word
         return min(max(estimate, 0.001), 5.0)
 
     # ------------------------------------------------------------------
@@ -305,28 +286,26 @@ class RecoveryBatcher:
     # ------------------------------------------------------------------
 
     def _gather(self) -> list[_Job] | None:
-        """Block for the next micro-batch; ``None`` means shut down."""
+        """Block for work, then take what is queued; ``None`` means
+        shut down.
+
+        The batch is the queue's head job plus every following job
+        that still fits in ``max_batch`` words; it never waits for
+        more to arrive.
+        """
         with self._cond:
             while not self._queue:
                 if self._stop:
                     return None
                 self._cond.wait()
             batch = [self._queue.popleft()]
-            batch[0].claimed_ns = time.perf_counter_ns()
             words = batch[0].words
-            deadline = time.monotonic() + self._linger_s
-            while words < self._max_batch:
-                if self._queue:
-                    batch.append(self._queue.popleft())
-                    batch[-1].claimed_ns = time.perf_counter_ns()
-                    words += batch[-1].words
-                    continue
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or self._stop:
-                    break
-                self._cond.wait(remaining)
-                # Loop re-checks the queue and the deadline, so both
-                # spurious wakes and real arrivals are handled above.
+            while (
+                self._queue
+                and words + self._queue[0].words <= self._max_batch
+            ):
+                batch.append(self._queue.popleft())
+                words += batch[-1].words
             self._queued_words -= words
             self._g_depth.set(self._queued_words)
         return batch
@@ -350,18 +329,9 @@ class RecoveryBatcher:
         if not live:
             return
         exec_start_ns = time.perf_counter_ns()
-        self._h_batch_linger.observe(
-            max(
-                (exec_start_ns - min(job.enqueued_ns for job in live)) / 1e9,
-                0.0,
-            )
-        )
         for job in live:
             self._h_stage_queue_wait.observe(
-                max(job.claimed_ns - job.enqueued_ns, 0) / 1e9
-            )
-            self._h_stage_linger.observe(
-                max(exec_start_ns - job.claimed_ns, 0) / 1e9
+                max(exec_start_ns - job.enqueued_ns, 0) / 1e9
             )
         # Traced jobs get a per-request shard_exec span minted *now* so
         # the executor (possibly in another process) can parent its own
@@ -445,14 +415,7 @@ class RecoveryBatcher:
         collector.record(obs_trace.Span(
             name="service.stage.queue_wait",
             start_ns=job.enqueued_ns,
-            end_ns=max(job.claimed_ns, job.enqueued_ns),
-            depth=1, span_id=obs_trace.new_span_id(),
-            parent_id=root_id, trace_id=trace_id,
-        ))
-        collector.record(obs_trace.Span(
-            name="service.stage.linger",
-            start_ns=job.claimed_ns,
-            end_ns=max(exec_start_ns, job.claimed_ns),
+            end_ns=max(exec_start_ns, job.enqueued_ns),
             depth=1, span_id=obs_trace.new_span_id(),
             parent_id=root_id, trace_id=trace_id,
         ))
@@ -538,7 +501,6 @@ class ShardedBatcher:
         self,
         pool: ShardPool,
         max_batch: int = 256,
-        linger_s: float = 0.002,
         queue_limit: int = 4096,
         registry: obs_metrics.MetricsRegistry | None = None,
     ) -> None:
@@ -553,7 +515,6 @@ class ShardedBatcher:
             RecoveryBatcher(
                 partial(pool.execute, index),
                 max_batch=max_batch,
-                linger_s=linger_s,
                 queue_limit=per_shard_limit,
                 registry=registry,
                 metric_prefix=f"service.shard.{index}",

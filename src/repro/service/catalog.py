@@ -73,24 +73,16 @@ _CODE_FACTORIES = {
 class ServiceCatalog:
     """Resolve ``(code_id, context_id)`` to a live engine and context.
 
-    Parameters
-    ----------
-    image_length / seed:
-        Synthesis knobs for lazily-built benchmark contexts; pinned
-        defaults match the CLI's, so service answers line up with
-        ``repro recover``-style offline runs.
+    Benchmark contexts are synthesized with a pinned image length and
+    seed that match the CLI's defaults, so service answers line up
+    with ``repro recover``-style offline runs, and every shard worker
+    rebuilds the same contexts.
 
     Engines serve from their code's decode table, built (about 10 ms)
     when the code's first engine is.
     """
 
-    def __init__(
-        self,
-        image_length: int = _CONTEXT_IMAGE_LENGTH,
-        seed: int = _CONTEXT_SEED,
-    ) -> None:
-        self._image_length = image_length
-        self._seed = seed
+    def __init__(self) -> None:
         self._lock = Lock()
         self._codes: dict[str, LinearBlockCode] = {}
         self._engines: dict[str, SwdEcc] = {}
@@ -104,12 +96,12 @@ class ServiceCatalog:
     @property
     def image_length(self) -> int:
         """Synthesis length for lazily-built benchmark contexts."""
-        return self._image_length
+        return _CONTEXT_IMAGE_LENGTH
 
     @property
     def seed(self) -> int:
         """Synthesis seed for lazily-built benchmark contexts."""
-        return self._seed
+        return _CONTEXT_SEED
 
     # ------------------------------------------------------------------
     # Registration / enumeration
@@ -188,7 +180,7 @@ class ServiceCatalog:
         factory/benchmark entries).
 
         Shard workers rebuild factory codes and benchmark contexts
-        themselves from the pinned ``image_length``/``seed`` knobs, but
+        themselves from the pinned ``image_length``/``seed``, but
         explicit registrations only exist in this process — the shard
         pool forwards exactly these at fork time so every worker
         resolves the same ids.
@@ -274,7 +266,7 @@ class ServiceCatalog:
                 f"available: {', '.join(self.context_ids())}"
             )
         image = synthesize_benchmark(
-            context_id, length=self._image_length, seed=self._seed
+            context_id, length=_CONTEXT_IMAGE_LENGTH, seed=_CONTEXT_SEED
         )
         built = RecoveryContext.for_instructions(
             FrequencyTable.from_image(image)

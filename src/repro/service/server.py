@@ -278,7 +278,7 @@ class RecoveryService:
     host / port:
         Bind address; port 0 picks an ephemeral port (read
         :attr:`port` after :meth:`start`).
-    max_batch / linger_s / queue_limit:
+    max_batch / queue_limit:
         Micro-batching knobs, forwarded to the
         :class:`RecoveryBatcher`.
     workers:
@@ -315,7 +315,6 @@ class RecoveryService:
         host: str = "127.0.0.1",
         port: int = 9200,
         max_batch: int = 256,
-        linger_s: float = 0.002,
         queue_limit: int = 4096,
         workers: int = 0,
         overload_policy: str = "degrade",
@@ -340,7 +339,6 @@ class RecoveryService:
         self._host = host
         self._requested_port = port
         self._max_batch = max_batch
-        self._linger_s = linger_s
         self._queue_limit = queue_limit
         self._workers = workers
         self._overload_policy = overload_policy
@@ -366,7 +364,6 @@ class RecoveryService:
             self._batcher = RecoveryBatcher(
                 self._engine.execute,
                 max_batch=max_batch,
-                linger_s=linger_s,
                 queue_limit=queue_limit,
                 registry=resolved,
             )
@@ -394,7 +391,7 @@ class RecoveryService:
             help="End-to-end request latency (parse to response body)",
         )
         # The HTTP-layer halves of the per-request stage decomposition
-        # (the batcher owns queue_wait / linger / shard_exec).
+        # (the batcher owns queue_wait / shard_exec).
         self._h_stage_serialize = resolved.histogram(
             "service.stage.serialize",
             help="Per request: response-body construction "
@@ -507,7 +504,6 @@ class RecoveryService:
             self._batcher = ShardedBatcher(
                 self._pool,
                 max_batch=self._max_batch,
-                linger_s=self._linger_s,
                 queue_limit=self._queue_limit,
                 registry=self.registry,
             )

@@ -12,8 +12,8 @@ Three properties carry over from the single-process design:
 
 - **Bit-identity** — batches route to shards by a stable hash of
   ``(code, context)``, so a given context always lands on the same
-  engine and its caches; engines are deterministic, so a shard's
-  answer equals a fresh serial engine's, which
+  engine; engines are deterministic, so a shard's answer equals a
+  fresh serial engine's, which
   ``tests/service/test_shards.py`` proves across the process boundary
   (including across a worker kill + respawn, because a respawned
   shard rebuilds the identical engine).
@@ -38,8 +38,12 @@ and then replayed as its JSON fragment, written by
 :func:`~repro.service.api.result_fragment` — a dict probe instead of
 ~38 µs in ``recover()`` plus ~39 µs of fragment writing and
 bookkeeping per word (medians of three traced perfbench ``distinct``
-runs on a 2-vCPU VM, Python 3.11).  The cache is disabled under
-per-request cost reporting, which needs true op-count deltas.
+runs on a 2-vCPU VM, Python 3.11).  The cache holds at most
+:data:`RESULT_CACHE_WORDS` answers and clears in place when full.
+That covers a hot set of re-read words, while transient upsets, which
+never repeat, can fill it with at most ~4 MiB of answers nobody reads
+again (about 1 KiB per word).  The cache is disabled under per-request
+cost reporting, which needs true op-count deltas.
 """
 
 from __future__ import annotations
@@ -66,8 +70,9 @@ from repro.service.catalog import ServiceCatalog
 __all__ = ["BatchEngine", "ShardPool", "ShardSpec", "route_key"]
 
 #: Served-answer cache bound, in words, across all (code, context)
-#: pairs (mirrors the engines' ContextCache clear-at-cap policy).
-DEFAULT_RESULT_CACHE_LIMIT = 65536
+#: pairs: the same bound, and the same clear-at-cap policy, as the
+#: engines' decision-row memo (:data:`repro.core.cache.MAX_ENTRIES`).
+RESULT_CACHE_WORDS = 4096
 
 #: How long a forked shard may take to pre-warm before startup fails.
 _SPAWN_TIMEOUT_S = 120.0
@@ -77,10 +82,9 @@ def route_key(code_id: str, context_id: str, shards: int) -> int:
     """The shard index serving ``(code_id, context_id)`` batches.
 
     A stable content hash (not Python's randomized ``hash``) so the
-    same context always drains through the same shard's engine — that
-    is what keeps the per-shard decision-row caches hot —
-    and so tests and a future consistent-hash fleet router can predict
-    placement.
+    same context always drains through the same shard's engine and
+    served-answer cache, and so tests and a future consistent-hash
+    fleet router can predict placement.
     """
     digest = zlib.crc32(f"{code_id}\x00{context_id}".encode())
     return digest % shards
@@ -93,13 +97,10 @@ class ShardSpec(NamedTuple):
     replacement worker is indistinguishable from the original.
     """
 
-    image_length: int
-    seed: int
     preload: tuple[str, ...] = ()
     codes: tuple[tuple[str, LinearBlockCode], ...] = ()
     contexts: tuple[tuple[str, RecoveryContext], ...] = ()
     report_cost: bool = False
-    result_cache_limit: int = DEFAULT_RESULT_CACHE_LIMIT
 
     @classmethod
     def from_catalog(
@@ -107,17 +108,13 @@ class ShardSpec(NamedTuple):
         catalog: ServiceCatalog,
         preload: Sequence[str] = (),
         report_cost: bool = False,
-        result_cache_limit: int = DEFAULT_RESULT_CACHE_LIMIT,
     ) -> "ShardSpec":
         codes, contexts = catalog.registrations()
         return cls(
-            image_length=catalog.image_length,
-            seed=catalog.seed,
             preload=tuple(preload),
             codes=tuple(sorted(codes.items())),
             contexts=tuple(sorted(contexts.items())),
             report_cost=report_cost,
-            result_cache_limit=result_cache_limit,
         )
 
 
@@ -138,18 +135,12 @@ class BatchEngine:
         catalog: ServiceCatalog,
         registry: obs_metrics.MetricsRegistry | None = None,
         report_cost: bool = False,
-        result_cache_limit: int = DEFAULT_RESULT_CACHE_LIMIT,
     ) -> None:
-        if result_cache_limit < 1:
-            raise ServiceError(
-                f"result_cache_limit must be >= 1, got {result_cache_limit}"
-            )
         registry = (
             registry if registry is not None else obs_metrics.get_registry()
         )
         self._catalog = catalog
         self._report_cost = report_cost
-        self._cache_limit = result_cache_limit
         self._cache: dict[tuple[str, str], dict[int, tuple[bool, str]]] = {}
         self._cache_words = 0
         self._c_recoveries = registry.counter(
@@ -255,7 +246,7 @@ class BatchEngine:
                     recovered += ok
                     failed += not ok
                     if cache is not None:
-                        if self._cache_words >= self._cache_limit:
+                        if self._cache_words >= RESULT_CACHE_WORDS:
                             # Clear in place: engines sharing a group
                             # dict must never see resurrected entries.
                             for entries in self._cache.values():
@@ -331,9 +322,7 @@ def _shard_initializer(spec: ShardSpec) -> None:
     registry.reset()
     event_log = obs_events.get_event_log()
     event_log.clear()
-    catalog = ServiceCatalog(
-        image_length=spec.image_length, seed=spec.seed
-    )
+    catalog = ServiceCatalog()
     for code_id, code in spec.codes:
         catalog.register_code(code_id, code)
     for context_id, context in spec.contexts:
@@ -344,7 +333,6 @@ def _shard_initializer(spec: ShardSpec) -> None:
             catalog,
             registry=registry,
             report_cost=spec.report_cost,
-            result_cache_limit=spec.result_cache_limit,
         ),
         "registry": registry,
         "event_log": event_log,
@@ -520,7 +508,13 @@ class ShardPool:
             shard.pid = None
             self._up_gauges[shard.index].set(0.0)
             if executor is not None:
-                executor.shutdown(wait=False, cancel_futures=True)
+                # Wait for the worker to exit.  Without the wait, a
+                # service stopped inside a multiprocessing child hangs
+                # that child's exit, which joins every child process
+                # while the worker still waits for its stop sentinel.
+                # The batchers have drained by now, so nothing queued
+                # is dropped.
+                executor.shutdown(wait=True, cancel_futures=True)
 
     def __enter__(self) -> "ShardPool":
         return self.start()

@@ -174,6 +174,13 @@ class TestOperandValidation:
         with pytest.raises(AssemblerError, match="expects"):
             assemble("addu $t0, $t1")
 
+    @pytest.mark.parametrize("source", [
+        "beqz", "bnez $t0", "neg $t0", "not $t0, $t1, $t2",
+    ])
+    def test_two_operand_pseudo_needs_two_operands(self, source):
+        with pytest.raises(AssemblerError, match="needs 2 operands"):
+            assemble(source)
+
     def test_bad_register(self):
         with pytest.raises(AssemblerError):
             assemble("addu $t0, $t1, $zz")

@@ -44,7 +44,6 @@ class TestBatching:
         batcher = RecoveryBatcher(
             counting_executor,
             max_batch=64,
-            linger_s=0.05,
             registry=MetricsRegistry(),
         ).start()
         try:
@@ -60,41 +59,44 @@ class TestBatching:
         assert sum(batches) == 8
         assert len(batches) <= 2  # coalesced, not one batch per request
 
-    def test_max_batch_closes_without_waiting_linger(self):
-        sizes: list[int] = []
+    def test_max_batch_bounds_a_drained_batch(self):
+        """A batch takes queued jobs while they fit in ``max_batch``
+        words; a job is never split, so a larger one runs alone."""
+        sizes: list[list[int]] = []
         gate = threading.Event()
 
         def gated_executor(requests):
             gate.wait(10.0)
-            sizes.append(sum(len(r.words) for r in requests))
+            sizes.append([len(r.words) for r in requests])
             return echo_executor(requests)
 
         batcher = RecoveryBatcher(
             gated_executor,
             max_batch=4,
-            linger_s=10.0,  # long linger: only max_batch can close it
             registry=MetricsRegistry(),
         ).start()
-        started = time.monotonic()
         try:
-            # 4 words meet max_batch at once, so the gather must close
-            # immediately instead of lingering 10 s for more company.
-            full = batcher.submit(request_of(0, 1, 2, 3))
-            # While the worker is gated on the full batch, two halves
-            # queue up; together they reach max_batch and close too.
-            halves = [
-                batcher.submit(request_of(10, 11)),
-                batcher.submit(request_of(12, 13)),
+            first = batcher.submit(request_of(0))  # occupies the worker
+            deadline = time.monotonic() + 5.0
+            while batcher.queued_words() and time.monotonic() < deadline:
+                time.sleep(0.005)  # wait for the worker to claim it
+            # While the worker is gated, jobs of 2, 2, 3, 6 and 1 words
+            # queue up behind it.
+            lengths = (2, 2, 3, 6, 1)
+            futures = [
+                batcher.submit(request_of(*range(100, 100 + n)))
+                for n in lengths
             ]
             gate.set()
-            full.result(timeout=5.0)
-            for future in halves:
-                future.result(timeout=5.0)
+            assert first.result(timeout=5.0) == [{"word": 0}]
+            for n, future in zip(lengths, futures):
+                assert future.result(timeout=5.0) == [
+                    {"word": word} for word in range(100, 100 + n)
+                ]
         finally:
             gate.set()
             batcher.stop()
-        assert time.monotonic() - started < 5.0  # never lingered
-        assert sizes == [4, 4]
+        assert sizes == [[1], [2, 2], [3], [6], [1]]
 
     def test_jobs_never_split_across_batches(self):
         seen: list[list[tuple[int, ...]]] = []
@@ -106,7 +108,6 @@ class TestBatching:
         with RecoveryBatcher(
             recording_executor,
             max_batch=2,
-            linger_s=0.0,
             registry=MetricsRegistry(),
         ) as batcher:
             future = batcher.submit(request_of(*range(10)))
@@ -125,7 +126,6 @@ class TestBackpressure:
         batcher = RecoveryBatcher(
             blocked_executor,
             max_batch=1,
-            linger_s=0.0,
             queue_limit=4,
             registry=MetricsRegistry(),
         ).start()
@@ -156,7 +156,6 @@ class TestBackpressure:
         batcher = RecoveryBatcher(
             blocked_executor,
             max_batch=1,
-            linger_s=0.0,
             queue_limit=100,
             registry=registry,
         ).start()
@@ -183,7 +182,6 @@ class TestBackpressure:
         batcher = RecoveryBatcher(
             blocked_executor,
             max_batch=1,
-            linger_s=0.0,
             queue_limit=1,
             registry=registry,
         ).start()
@@ -217,7 +215,6 @@ class TestLifecycle:
         batcher = RecoveryBatcher(
             slow_executor,
             max_batch=1,
-            linger_s=0.0,
             registry=MetricsRegistry(),
         ).start()
         futures = [batcher.submit(request_of(i)) for i in range(5)]
@@ -274,7 +271,6 @@ class TestLifecycle:
         batcher = RecoveryBatcher(
             gated_executor,
             max_batch=1,
-            linger_s=0.0,
             registry=MetricsRegistry(),
         ).start()
         try:
@@ -296,8 +292,6 @@ class TestValidation:
     def test_bad_knobs_raise(self):
         with pytest.raises(ServiceError):
             RecoveryBatcher(echo_executor, max_batch=0)
-        with pytest.raises(ServiceError):
-            RecoveryBatcher(echo_executor, linger_s=-1.0)
         with pytest.raises(ServiceError):
             RecoveryBatcher(echo_executor, queue_limit=0)
 

@@ -91,7 +91,7 @@ class TestCostReporting:
 
     def test_degraded_responses_never_carry_cost(self, due_word):
         # A 0ms timeout degrades to detect-only before any engine work.
-        with _service(report_cost=True, linger_s=0.05) as svc:
+        with _service(report_cost=True) as svc:
             status, body = post(
                 svc.url + "/recover",
                 {"received": due_word, "timeout_ms": 1},

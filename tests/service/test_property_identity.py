@@ -44,7 +44,6 @@ def live_service():
     service = RecoveryService(
         port=0,
         max_batch=3,
-        linger_s=0.001,
         registry=MetricsRegistry(),
         event_log=EventLog(),
     )

@@ -216,7 +216,6 @@ class TestDegradation:
             event_log=EventLog(),
             queue_limit=1,
             max_batch=1,
-            linger_s=0.0,
             overload_policy=policy,
         )
         real_execute = svc._engine.execute

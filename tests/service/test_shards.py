@@ -19,6 +19,7 @@ observable may change when it does.  Three contracts are pinned here:
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import random
 import signal
@@ -43,7 +44,13 @@ from repro.service.catalog import (
     _CONTEXT_SEED,
     DEFAULT_CODE_ID,
 )
-from repro.service.shards import BatchEngine, ShardPool, ShardSpec, route_key
+from repro.service.shards import (
+    RESULT_CACHE_WORDS,
+    BatchEngine,
+    ShardPool,
+    ShardSpec,
+    route_key,
+)
 
 CONTEXT_IDS = ("none", "mcf", "bzip2")
 CODE_N = canonical_secded_39_32().n
@@ -56,7 +63,6 @@ def sharded_service():
         port=0,
         workers=2,
         max_batch=3,
-        linger_s=0.001,
         registry=MetricsRegistry(),
         event_log=EventLog(),
     )
@@ -296,12 +302,41 @@ def test_batch_engine_cache_cap_clears_and_stays_correct():
     registry = MetricsRegistry()
     catalog = ServiceCatalog()
     code = catalog.code(DEFAULT_CODE_ID)
-    engine = BatchEngine(catalog, registry=registry, result_cache_limit=4)
-    words = tuple(code.encode(i) ^ 0b11 for i in range(6))
+    engine = BatchEngine(catalog, registry=registry)
+    words = tuple(
+        code.encode(i) ^ 0b11 for i in range(RESULT_CACHE_WORDS + 2)
+    )
     request = RecoveryRequest(words=words, context_id="none")
     first = engine.execute([request])[0]
     second = engine.execute([request])[0]
     assert first["fragments"] == second["fragments"]
+
+
+def test_batch_engine_answer_cache_is_bounded():
+    """Words that never repeat cannot grow the cache past its bound,
+    and every answer still equals the cache-free oracle's."""
+    catalog = ServiceCatalog()
+    code = catalog.code(DEFAULT_CODE_ID)
+    engine = BatchEngine(catalog, registry=MetricsRegistry())
+    words = tuple(
+        code.encode(i) ^ 0b101 for i in range(RESULT_CACHE_WORDS + 1)
+    )
+    request = RecoveryRequest(words=words, context_id="mcf")
+    fragments = engine.execute([request])[0]["fragments"]
+    cached = sum(len(entries) for entries in engine._cache.values())
+    assert 1 <= cached <= RESULT_CACHE_WORDS
+
+    oracle = SwdEcc(
+        code, tie_break=TieBreak.FIRST, rng=random.Random(0), cache=False
+    )
+    context = catalog.context("mcf")
+    assert len(fragments) == len(words)
+    for word, fragment in zip(words, fragments):
+        try:
+            expected = result_payload(word, oracle.recover(word, context))
+        except ReproError as error:
+            expected = error_payload(word, error)
+        assert fragment == json.dumps(expected, sort_keys=True)
 
 
 def test_shard_pool_rejects_bad_worker_counts():
@@ -365,6 +400,50 @@ class TestCatalogFreeze:
         assert "before starting the service" in message
         catalog.thaw()
         catalog.register_code("late", canonical_secded_39_32())
+
+
+def _serve_and_stop(pids) -> None:
+    """Child body: start a one-shard service, report its shard's pid,
+    stop it."""
+    service = RecoveryService(
+        port=0, workers=1, registry=MetricsRegistry(), event_log=EventLog()
+    )
+    with service:
+        pids.put(service.shard_pool.worker_pids()[0])
+
+
+def _pid_alive(pid: int) -> bool:
+    """True while *pid* exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as handle:
+            stat = handle.read()
+    except FileNotFoundError:
+        return False
+    return stat[stat.rfind(b")") + 2:][:1] != b"Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+def test_service_stopped_in_a_multiprocessing_child_exits():
+    """Stopping the pool waits for its workers, so a multiprocessing
+    child that ran a sharded service exits and leaves no shard behind."""
+    mp = multiprocessing.get_context("spawn")
+    pids = mp.Queue()
+    child = mp.Process(target=_serve_and_stop, args=(pids,))
+    child.start()
+    shard_pid = None
+    try:
+        shard_pid = pids.get(timeout=120.0)
+        child.join(timeout=20.0)
+        assert not child.is_alive(), "the child did not exit within 20 s"
+        assert child.exitcode == 0
+        assert not _pid_alive(shard_pid), "the shard outlived its parent"
+    finally:
+        # Leave neither a hung child nor an orphaned shard behind.
+        if child.is_alive():
+            child.kill()
+            child.join()
+        if shard_pid is not None and _pid_alive(shard_pid):
+            os.kill(shard_pid, signal.SIGKILL)
 
 
 class TestNewCodeFamilies:

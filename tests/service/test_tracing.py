@@ -1,10 +1,10 @@
 """End-to-end request tracing across the sharded recovery service.
 
 The tracing tentpole's contract, pinned property-style: for every
-traced request the service retains a span tree whose five stage spans
-(`queue_wait`, `linger`, `shard_exec`, `serialize`, `respond`)
-decompose the end-to-end ``service.request`` span — contiguous,
-in order, inside the root window — and the worker-side
+traced request the service retains a span tree whose four stage spans
+(`queue_wait`, `shard_exec`, `serialize`, `respond`) decompose the
+end-to-end ``service.request`` span — contiguous, in order, inside
+the root window — and the worker-side
 ``service.shard.execute`` span crosses the process boundary with the
 right parent and lands inside ``shard_exec``.  Inbound W3C
 ``traceparent`` headers donate the trace id (and surface as the
@@ -34,7 +34,6 @@ CODE = canonical_secded_39_32()
 
 STAGE_NAMES = (
     "service.stage.queue_wait",
-    "service.stage.linger",
     "service.stage.shard_exec",
     "service.stage.serialize",
     "service.stage.respond",
@@ -53,7 +52,6 @@ def traced_service():
         port=0,
         workers=2,
         max_batch=3,
-        linger_s=0.001,
         registry=MetricsRegistry(),
         event_log=EventLog(),
     )
@@ -179,7 +177,7 @@ def test_stage_spans_decompose_end_to_end_latency(spec, traced_service):
             for child in node["children"]:
                 assert child["parent_id"] == node["span_id"]
 
-        # Exactly the five stage spans sit under the root, in
+        # Exactly the four stage spans sit under the root, in
         # chronological order, contiguous and non-overlapping.
         stages = {c["name"]: c for c in root["children"]}
         assert sorted(stages) == sorted(STAGE_NAMES)
