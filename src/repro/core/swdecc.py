@@ -20,7 +20,11 @@ The engine runs that one algorithm two ways.  By default it serves
 every double-bit DUE from the code's
 :class:`~repro.ecc.decode_table.DecodeTable`: the syndrome picks a
 table entry, and one *decision* per ``(entry, selector base, context)``
-class replaces the per-candidate filter and rank calls.  With
+class replaces the per-candidate filter and rank calls.  A decision
+reads each candidate's filter verdict and ranker score from a
+per-context *verdict table* keyed by the candidate's selector key
+(:func:`~repro.isa.decoder.selector_key`; 6,298 keys in all): one dict
+probe per candidate, filled on first sight of a key.  With
 ``cache=False`` it is the reference oracle: the pipeline above, word by
 word, with no table and no memo.  The oracle also serves radius
 escalation and every configuration the table path rejects.
@@ -36,16 +40,17 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.core.cache import ContextCache
+from repro.core.cache import ContextCache, ContextTable, ContextTables
 from repro.core.filters import CandidateFilter, FilterChain, InstructionLegalityFilter
 from repro.core.rankers import CandidateRanker, FrequencyRanker
 from repro.core.sideinfo import RecoveryContext
 from repro.ecc.candidates import CandidateEnumerator
 from repro.ecc.code import LinearBlockCode
-from repro.ecc.decode_table import DecodeEntry, DecodeTable
-from repro.errors import DecodingError, RecoveryError
+from repro.ecc.decode_table import DecodeTable
+from repro.errors import DecodingError, EncodingError, RecoveryError
 from repro.isa.decoder import (
     ALL_SELECTOR_FIELDS,
+    SELECTOR_FIELD_MASKS,
     selector_key,
     spec_for_selector_key,
 )
@@ -246,6 +251,17 @@ class _TableResult(RecoveryResult):
         return (RecoveryResult, self._field_values())
 
 
+def _verdict_fill(predicate, scorer):
+    """The filler of an engine's verdict tables: a selector key's
+    ranker score when the filter keeps its spec, else ``None``."""
+
+    def fill(key: int, context: RecoveryContext) -> float | None:
+        spec = spec_for_selector_key(key)
+        return scorer(spec, context) if predicate(spec) else None
+
+    return fill
+
+
 class SwdEcc:
     """Software-Defined ECC heuristic recovery engine.
 
@@ -328,7 +344,6 @@ class SwdEcc:
         # the filter chain and ranker certify spec-local semantics (k <=
         # 32 MIPS words) and the table's structural guards hold.
         self._table: DecodeTable | None = None
-        self._hooks: tuple | None = None
         if cache and code.k <= 32:
             predicate = self._filter.spec_predicate()
             scorer = self._ranker.spec_scorer()
@@ -338,12 +353,15 @@ class SwdEcc:
                 and code.decode_table.supports_fast_path
             ):
                 self._table = code.decode_table
-                self._hooks = (predicate, scorer)
+                self._scorer = scorer
                 # Hot-loop snapshots: the table path inlines the chunked
                 # syndrome XOR and the entry probe.
                 self._chunks = self._table.chunks
                 self._entry_get = self._table.entries.get
                 self._ce_syndromes = code.syndrome_to_position
+                # selector key -> score if the filter keeps the key's
+                # spec, else None; one table per context.
+                self._verdicts = ContextTables(_verdict_fill(predicate, scorer))
         # (syndrome, selector base) -> decision row, per context.
         self._row_cache = ContextCache()
         self._n = code.n
@@ -506,7 +524,8 @@ class SwdEcc:
 
         Op accounting charges what the lookup actually performs — one
         syndrome compute, one enumeration, a handful of XORs, plus
-        filter/ranker evaluations only when a decision row is built.
+        filter/ranker evaluations only when a decision row is built
+        (however many verdict-table misses that build fills).
         """
         start_ns = time.perf_counter_ns()
         # Inlined DecodeTable.syndrome_of: same range check (negative
@@ -549,7 +568,12 @@ class SwdEcc:
         row = rows.get(row_key)
         if row is None:
             # (pool, scores, tied, fell_back, num_valid, bucket indices)
-            row = self._decide(entry, base, context)
+            row = self._decide(
+                entry.offsets, base, self._verdicts.table_for(context)
+            )
+            if self._filter.filters:
+                self._m_ops_filter.inc(len(entry.offsets))
+            self._m_ranker_evals.inc(len(row[0]))
             num_valid = 0 if row[3] else len(row[0])
             # Histogram observations on this path are row constants, so
             # their bucket indices are resolved here, once per row.
@@ -647,48 +671,61 @@ class SwdEcc:
         return result
 
     def _decide(
-        self, entry: DecodeEntry, base: int, context: RecoveryContext
+        self, offsets: tuple[int, ...], base: int, verdicts: ContextTable
     ) -> tuple:
         """Filter → fallback → rank → ties for one decode-table class.
 
-        Filter verdicts and ranker scores are pure functions of a
-        candidate's decoded spec, and every candidate's spec is fixed
-        by ``base`` (the received message's selector-field bits) XOR
-        the entry's message offsets — so every word of one ``(entry,
-        base, context)`` class shares this decision.  Charges the
-        filter and ranker evaluations the reference pipeline would.
+        The one decision kernel of the table path: :meth:`recover`
+        runs it once per new decision row, :meth:`sweep_probabilities`
+        once per message.  A candidate's message is ``base ^ offset``
+        (*base* is the received message, or just its selector-field
+        bits), and its filter verdict and ranker score are pure
+        functions of its selector key and the context — so each is one
+        probe of the context's *verdicts* table (the score when the
+        filter keeps the key's spec, else ``None``), and every word of
+        one ``(entry, selector base, context)`` class shares this
+        decision.  When the filter rejects every candidate, all of them
+        are scored through the ranker's spec hook instead.
+
+        Pure: charges nothing.  Callers charge, per decided word, the
+        filter evaluations (every candidate, when the chain has
+        filters) and ranker evaluations (the pool) the reference
+        pipeline would — never per verdict-table miss.
 
         Returns ``(pool, scores, tied, fell_back)``: the offsets the
         ranker scored (the filter's survivors, or every candidate when
         the filter fell back), their scores, the top-scored offsets,
         and whether the filter fell back.
         """
-        predicate, scorer = self._hooks
-        all_fields = ALL_SELECTOR_FIELDS
-        candidates = [
-            (
-                offset,
-                spec_for_selector_key(
-                    selector_key(base ^ (offset & all_fields))
-                ),
-            )
-            for offset in entry.offsets
-        ]
-        if self._filter.filters:
-            self._m_ops_filter.inc(len(candidates))
-        pool = [candidate for candidate in candidates if predicate(candidate[1])]
+        masks = SELECTOR_FIELD_MASKS
+        pool = []
+        scores = []
+        for offset in offsets:
+            message = base ^ offset
+            score = verdicts[message & masks[message >> 26]]
+            if score is not None:
+                pool.append(offset)
+                scores.append(score)
         fell_back = not pool
         if fell_back:
-            pool = candidates
-        scores = tuple(scorer(spec, context) for _, spec in pool)
-        self._m_ranker_evals.inc(len(scores))
+            scorer = self._scorer
+            context = verdicts.context
+            pool = offsets
+            scores = [
+                scorer(spec_for_selector_key(selector_key(base ^ offset)), context)
+                for offset in offsets
+            ]
         best_score = max(scores)
-        tied = tuple(
-            offset
-            for (offset, _), score in zip(pool, scores)
-            if score == best_score
-        )
-        return tuple(offset for offset, _ in pool), scores, tied, fell_back
+        if scores.count(best_score) == 1:
+            # A sole winner (about half of Fig. 8's decisions).
+            tied = (pool[scores.index(best_score)],)
+        else:
+            tied = tuple([
+                offset
+                for offset, score in zip(pool, scores)
+                if score == best_score
+            ])
+        return tuple(pool), tuple(scores), tied, fell_back
 
     def recover_batch(
         self,
@@ -724,13 +761,17 @@ class SwdEcc:
         for every message: ``encode(m) ^ error`` carries message bits
         ``m ^ (error >> r)``, its candidates are those bits XOR the
         entry's offsets, and the original is the candidate at offset
-        ``error >> r``.  Each message is decided with the same
-        ``(entry, selector base, context)`` step :meth:`recover` uses,
-        computed and not stored.  Recovery counters and histograms
-        advance as usual; per-DUE *events* are not recorded (an
-        exhaustive sweep would only churn the bounded ring).  The
-        oracle, and patterns without a table entry, run :meth:`recover`
-        word by word instead.
+        ``error >> r``.  Each message is decided by the same
+        :meth:`_decide` kernel :meth:`recover` uses, computed and not
+        stored.  Recovery counters and histograms advance as
+        :meth:`recover` would advance them, committed once per call;
+        per-DUE *events* are not recorded (an exhaustive sweep would
+        only churn the bounded ring).  The oracle, and patterns without
+        a table entry, run :meth:`recover` word by word instead.
+
+        Raises :class:`~repro.errors.EncodingError`, as
+        ``code.encode`` would, for the first message that does not fit
+        in k bits.
         """
         if context is None:
             context = RecoveryContext()
@@ -747,21 +788,28 @@ class SwdEcc:
                 entry = self._entry_get(syndrome)
         if entry is None:
             return self._sweep_by_recover(messages, error, context)
+        # The kernel indexes the 64 selector masks by a message's top
+        # six bits, so a message wider than k bits must not reach it.
+        k = self._code.k
+        if min(messages) < 0 or max(messages) >> k:
+            bad = next(m for m in messages if m < 0 or m >> k)
+            raise EncodingError(f"message 0x{bad:x} does not fit in {k} bits")
 
         error_offset = error >> self._message_shift
-        num_candidates = len(entry.offsets)
+        offsets = entry.offsets
+        num_candidates = len(offsets)
         decide = self._decide
-        all_fields = ALL_SELECTOR_FIELDS
+        verdicts = self._verdicts.table_for(context)
         tie_first = self._tie_break is TieBreak.FIRST
-        h_candidates = self._h_candidates
-        h_valid = self._h_valid
         stats: list[tuple[float, int, int]] = []
+        valid_counts: dict[int, int] = {}
+        ranker_evals = 0
         fallbacks = 0
         tie_count = 0
         for message in messages:
             received_message = message ^ error_offset
             pool, _, tied, fell_back = decide(
-                entry, received_message & all_fields, context
+                offsets, received_message, verdicts
             )
             if error_offset not in tied:
                 probability = 0.0
@@ -773,6 +821,7 @@ class SwdEcc:
                 )
             else:
                 probability = 1.0 / len(tied)
+            ranker_evals += len(pool)
             if fell_back:
                 num_valid = 0
                 fallbacks += 1
@@ -780,18 +829,22 @@ class SwdEcc:
                 num_valid = len(pool)
             if len(tied) > 1:
                 tie_count += 1
-            h_candidates.observe(num_candidates)
-            h_valid.observe(num_valid)
+            valid_counts[num_valid] = valid_counts.get(num_valid, 0) + 1
             stats.append((probability, num_candidates, num_valid))
-        self._m_recoveries.inc(len(messages))
-        self._m_ops_enum.inc(len(messages))
-        self._m_ops_xor.inc(len(messages) * num_candidates)
+        words = len(messages)
+        self._h_candidates.observe_counts({num_candidates: words})
+        self._h_valid.observe_counts(valid_counts)
+        if self._filter.filters:
+            self._m_ops_filter.inc(words * num_candidates)
+        self._m_ranker_evals.inc(ranker_evals)
+        self._m_recoveries.inc(words)
+        self._m_ops_enum.inc(words)
+        self._m_ops_xor.inc(words * num_candidates)
         if fallbacks:
             self._m_fallbacks.inc(fallbacks)
             obs_logging.emit(
                 _log, logging.DEBUG, "filter fell back (table sweep)",
-                error=f"0x{error:x}", count=fallbacks,
-                messages=len(messages),
+                error=f"0x{error:x}", count=fallbacks, messages=words,
             )
         if tie_count:
             self._m_ties.inc(tie_count)

@@ -104,15 +104,15 @@ def selector_key(word: int) -> int:
     return word & SELECTOR_FIELD_MASKS[(word >> 26) & 0x3F]
 
 
-@lru_cache(maxsize=1 << 13)
 def spec_for_selector_key(key: int) -> InstructionSpec | None:
     """Decode a :func:`selector_key`, or ``None`` when illegal.
 
     ``spec_for_selector_key(selector_key(w))`` equals
     ``_spec_for_word(w)`` for every 32-bit *w*: masking zeroes only
     fields that never reach the sub-decoders.  The selector keyspace is
-    structurally bounded (about 6.3k distinct keys over all opcodes),
-    so the cache converges to a complete decode table.
+    structurally bounded (6,298 keys over all opcodes), and the engine
+    keeps its verdicts per key and context (``repro.core.swdecc``), so
+    it decodes each key about once per context.
     """
     return _spec_for_word(key)
 

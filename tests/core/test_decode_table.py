@@ -8,11 +8,15 @@ syndrome, from ``recover()`` and from ``sweep_probabilities()``, plus
 clean bypasses for everything the table does not cover (radius
 escalation) and clean interop for everything downstream (equality,
 hashing, pickling).  The oracle never touches the table it checks.
+The decision kernel's per-context verdict tables are checked the same
+way — every code, context, strategy and tie-break — and for their
+bounds.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import pickle
 import random
 
@@ -21,16 +25,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.sweep import RecoveryStrategy
+from repro.core import cache as cache_module
 from repro.core.filters import InstructionLegalityFilter
 from repro.core.rankers import FrequencyRanker, UniformRanker
 from repro.core.sideinfo import RecoveryContext
 from repro.core.swdecc import RecoveryResult, SwdEcc, TieBreak
-from repro.ecc import canonical_secded_39_32, hsiao_39_32
+from repro.ecc import canonical_secded_39_32, daec_code, hsiao_39_32
 from repro.ecc.candidates import CandidateEnumerator
 from repro.ecc.channel import double_bit_patterns
 from repro.ecc.code import DecodeStatus
 from repro.ecc.decode_table import DecodeTable
-from repro.errors import DecodingError
+from repro.errors import DecodingError, EncodingError
 from repro.isa.decoder import (
     ALL_SELECTOR_FIELDS,
     SELECTOR_FIELD_MASKS,
@@ -39,6 +44,7 @@ from repro.isa.decoder import (
     spec_for_selector_key,
 )
 from repro.obs import metrics as obs_metrics
+from repro.program.profiles import BENCHMARK_NAMES
 from repro.program.stats import FrequencyTable
 from repro.program.synth import synthesize_benchmark
 
@@ -271,7 +277,7 @@ def test_non_due_errors_match_reference(received):
 # ---------------------------------------------------------------------------
 
 
-def _strategy_engine(strategy, tie_break, cache):
+def _strategy_engine(strategy, tie_break, cache, code=CODE, seed=0):
     """The sweep's engine for *strategy*, under either tie-break."""
     if strategy is RecoveryStrategy.RANDOM_CANDIDATE:
         filters, ranker = (), UniformRanker()
@@ -280,8 +286,8 @@ def _strategy_engine(strategy, tie_break, cache):
     else:
         filters, ranker = (InstructionLegalityFilter(),), FrequencyRanker()
     return SwdEcc(
-        CODE, filters=filters, ranker=ranker, tie_break=tie_break,
-        rng=random.Random(0), cache=cache,
+        code, filters=filters, ranker=ranker, tie_break=tie_break,
+        rng=random.Random(seed), cache=cache,
     )
 
 
@@ -318,6 +324,82 @@ def test_sweep_probabilities_match_oracle(
         assert str(fast_error.value) == str(oracle_error)
         return
     assert fast.sweep_probabilities(messages, error, CONTEXT) == expected
+
+
+@pytest.mark.parametrize(
+    "messages",
+    [[1 << 32], [-1], [IMAGE.words[0], 1 << 40, -1]],
+    ids=["too-wide", "negative", "first-bad-reported"],
+)
+def test_sweep_rejects_messages_wider_than_k(messages):
+    """A message that does not fit in k bits raises the oracle's
+    EncodingError (that of the first bad message) instead of a made-up
+    rate."""
+    fast = _strategy_engine(RecoveryStrategy.FILTER_AND_RANK, TieBreak.FIRST, True)
+    oracle = _strategy_engine(
+        RecoveryStrategy.FILTER_AND_RANK, TieBreak.FIRST, False
+    )
+    with pytest.raises(EncodingError) as oracle_error:
+        oracle.sweep_probabilities(messages, PATTERNS[0], CONTEXT)
+    with pytest.raises(EncodingError) as fast_error:
+        fast.sweep_probabilities(messages, PATTERNS[0], CONTEXT)
+    assert str(fast_error.value) == str(oracle_error.value)
+
+
+#: Op counters a sweep charges exactly as word-by-word recovery does.
+#: (``ops.xor`` and ``ops.syndrome_computes`` are priced per path: the
+#: sweep computes no word's syndrome and walks no column.)
+_DECISION_OPS = (
+    "ops.candidate_enumerations", "ops.filter_evals", "ops.ranker_evals",
+)
+
+
+def _swept(engine_for, drive):
+    """Run *drive* on a fresh engine under a fresh registry; return its
+    output and the decision metrics it committed."""
+    registry = obs_metrics.MetricsRegistry()
+    previous = obs_metrics.set_registry(registry)
+    try:
+        output = drive(engine_for())
+    finally:
+        obs_metrics.set_registry(previous)
+    snapshot = registry.as_dict()
+    return output, {
+        name: data
+        for name, data in snapshot.items()
+        if name.startswith("swdecc.") or name in _DECISION_OPS
+    }
+
+
+@pytest.mark.parametrize("tie_break", list(TieBreak))
+@pytest.mark.parametrize("strategy", list(RecoveryStrategy))
+def test_sweep_matches_word_by_word_recovery_on_all_741_patterns(
+    strategy, tie_break
+):
+    """The table sweep equals ``_sweep_by_recover`` (one reference
+    ``recover()`` per word) on every pattern: rates, candidate and
+    valid counts, every ``swdecc.*`` counter and histogram (buckets,
+    count, sum, min, max) and the decision op counters."""
+    window = IMAGE.words[:3]
+    swept, swept_metrics = _swept(
+        lambda: _strategy_engine(strategy, tie_break, True),
+        lambda engine: [
+            engine.sweep_probabilities(window, pattern, CONTEXT)
+            for pattern in PATTERNS
+        ],
+    )
+    recovered, recovered_metrics = _swept(
+        lambda: _strategy_engine(strategy, tie_break, False),
+        lambda engine: [
+            engine._sweep_by_recover(window, pattern, CONTEXT)
+            for pattern in PATTERNS
+        ],
+    )
+    assert swept == recovered
+    assert swept_metrics == recovered_metrics
+    assert swept_metrics["swdecc.recoveries"]["value"] == 3 * len(PATTERNS)
+    for name in ("swdecc.candidates", "swdecc.valid_messages"):
+        assert swept_metrics[name]["count"] == 3 * len(PATTERNS)
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +484,159 @@ def test_row_cache_is_bounded_and_answers_stay_exact():
         assert fast.recover(word, CONTEXT) == reference.recover(word, CONTEXT)
         peak = max(peak, len(fast._row_cache))
     assert 0 < peak <= ROW_CACHE_LIMIT
+
+
+# ---------------------------------------------------------------------------
+# The decision kernel and its verdict tables
+# ---------------------------------------------------------------------------
+
+KERNEL_CODES = {
+    "secded-39-32": CODE,
+    "hsiao-39-32": hsiao_39_32(),
+    "daec-41-32": daec_code(),
+}
+KERNEL_PATTERNS = {
+    name: tuple(pattern.vector for pattern in double_bit_patterns(code.n))
+    for name, code in KERNEL_CODES.items()
+}
+KERNEL_CONTEXTS = {"none": RecoveryContext()} | {
+    name: RecoveryContext.for_instructions(
+        FrequencyTable.from_image(
+            synthesize_benchmark(name, length=512, seed=2016)
+        )
+    )
+    for name in BENCHMARK_NAMES
+}
+#: Per code: a word whose candidates are all illegal (the legality
+#: filter falls back) and a word that ties three or more candidates
+#: under the mcf context.
+PINNED_WORDS = {
+    "secded-39-32": {"fallback": 0x6900000024, "tie": 0x1E759EBEA6},
+    "hsiao-39-32": {"fallback": 0x6900000024, "tie": 0x1E759EBEA6},
+    "daec-41-32": {"fallback": 0x1E00000001C, "tie": 0x79D65FFAFD},
+}
+
+
+def _assert_same_fields(fast_result, reference_result):
+    for field in dataclasses.fields(RecoveryResult):
+        assert getattr(fast_result, field.name) == getattr(
+            reference_result, field.name
+        ), field.name
+    assert fast_result.ranked_targets() == reference_result.ranked_targets()
+    assert fast_result.num_candidates == reference_result.num_candidates
+    assert fast_result.num_valid == reference_result.num_valid
+
+
+def _recover_both(fast, reference, received, context):
+    """Recover on both engines; a non-DUE must raise the same error."""
+    try:
+        reference_result = reference.recover(received, context)
+    except DecodingError as reference_error:
+        with pytest.raises(DecodingError) as fast_error:
+            fast.recover(received, context)
+        assert str(fast_error.value) == str(reference_error)
+        return
+    _assert_same_fields(fast.recover(received, context), reference_result)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    code_name=st.sampled_from(sorted(KERNEL_CODES)),
+    context_name=st.sampled_from(sorted(KERNEL_CONTEXTS)),
+    strategy=st.sampled_from(RecoveryStrategy),
+    tie_break=st.sampled_from(TieBreak),
+    seed=st.integers(min_value=0, max_value=1 << 16),
+    words=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=(1 << 32) - 1),
+            st.integers(min_value=0, max_value=1 << 20),
+        ),
+        min_size=1, max_size=4,
+    ),
+)
+def test_kernel_recover_matches_oracle_field_for_field(
+    code_name, context_name, strategy, tie_break, seed, words
+):
+    """Every code, context, strategy and tie-break: each word twice
+    (a new decision row, then a row hit), and the RANDOM tie-break's
+    RNG streams stay aligned."""
+    code = KERNEL_CODES[code_name]
+    patterns = KERNEL_PATTERNS[code_name]
+    context = KERNEL_CONTEXTS[context_name]
+    fast = _strategy_engine(strategy, tie_break, True, code, seed)
+    reference = _strategy_engine(strategy, tie_break, False, code, seed)
+    assert fast.decode_table is code.decode_table
+    for message, pick in words:
+        received = code.encode(message) ^ patterns[pick % len(patterns)]
+        for _ in range(2):
+            _recover_both(fast, reference, received, context)
+    assert fast._rng.random() == reference._rng.random()
+
+
+@pytest.mark.parametrize("tie_break", list(TieBreak))
+@pytest.mark.parametrize("strategy", list(RecoveryStrategy))
+@pytest.mark.parametrize("code_name", sorted(KERNEL_CODES))
+def test_kernel_pinned_fallback_and_tie_words(code_name, strategy, tie_break):
+    code = KERNEL_CODES[code_name]
+    pins = PINNED_WORDS[code_name]
+    oracle = _strategy_engine(
+        RecoveryStrategy.FILTER_AND_RANK, TieBreak.FIRST, False, code
+    )
+    mcf = KERNEL_CONTEXTS["mcf"]
+    assert oracle.recover(pins["fallback"], mcf).filter_fell_back
+    assert oracle.recover(pins["tie"], mcf).tied >= 3
+    fast = _strategy_engine(strategy, tie_break, True, code, seed=7)
+    reference = _strategy_engine(strategy, tie_break, False, code, seed=7)
+    for context in KERNEL_CONTEXTS.values():
+        for received in (pins["fallback"], pins["tie"]):
+            for _ in range(3):
+                _recover_both(fast, reference, received, context)
+    assert fast._rng.random() == reference._rng.random()
+
+
+def _selector_keyspace():
+    """Every selector key: each opcode with every value of the other
+    bits its selector mask keeps."""
+    keys = []
+    for opcode, mask in enumerate(SELECTOR_FIELD_MASKS):
+        free = [bit for bit in range(26) if mask >> bit & 1]
+        for value in range(1 << len(free)):
+            key = opcode << 26
+            for index, bit in enumerate(free):
+                if value >> index & 1:
+                    key |= 1 << bit
+            keys.append(key)
+    return keys
+
+
+def test_verdict_tables_are_bounded():
+    """cap + 1 fresh contexts leave at most cap tables; a table holds
+    selector keys only, so never more than the 6,298 of the keyspace."""
+    keyspace = _selector_keyspace()
+    assert len(keyspace) == len(set(keyspace)) == 6298
+    fast, _ = _engines()
+    cap = cache_module.MAX_CONTEXTS
+    received = CODE.encode(IMAGE.words[0]) ^ PATTERNS[0]
+    for _ in range(cap + 1):
+        fast.recover(received, RecoveryContext())
+        assert 0 < len(fast._verdicts) <= cap
+    for _ in range(cap + 1):
+        fast.sweep_probabilities(IMAGE.words[:2], PATTERNS[1], RecoveryContext())
+        assert 0 < len(fast._verdicts) <= cap
+
+    rng = random.Random(2016)
+    messages = [rng.getrandbits(32) for _ in range(40)]
+    for pattern in PATTERNS:
+        fast.sweep_probabilities(messages, pattern, CONTEXT)
+    table = fast._verdicts.table_for(CONTEXT)
+    assert all(selector_key(key) == key for key in table)
+    assert 0 < len(table) <= 6298
+    for key in keyspace:
+        table[key]
+    for pattern in PATTERNS[::7]:
+        fast.sweep_probabilities(messages, pattern, CONTEXT)
+    assert len(table) == 6298
+    assert all(len(other) <= 6298 for other in fast._verdicts._tables.values())
 
 
 # ---------------------------------------------------------------------------

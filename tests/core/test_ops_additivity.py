@@ -15,7 +15,10 @@ grouped or which path serves them.  Hypothesis drives random
 - building a decode table charges no ops at all, and the table path
   charges the oracle's ops except XOR, of which it charges fewer;
 - a table sweep charges the enumerations, filter evals and ranker
-  evals that ``recover()`` charges for the same words.
+  evals that ``recover()`` charges for the same words;
+- the per-context verdict tables change no charge: interleaving
+  contexts word by word charges (and answers) what serving each
+  context alone does, and warm tables charge what cold ones do.
 
 Each measurement swaps in an empty process registry *before*
 constructing the engine, which caches its counter references at
@@ -30,16 +33,22 @@ legitimately rebuilds rows (and recharges their filter/ranker evals).
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import cache as cache_module
 from repro.core.sideinfo import RecoveryContext
 from repro.core.swdecc import SwdEcc, TieBreak
 from repro.ecc import canonical_secded_39_32
+from repro.ecc.channel import double_bit_patterns
+from repro.isa.decoder import ALL_SELECTOR_FIELDS
 from repro.obs import metrics as obs_metrics
 from repro.obs.energy import op_counts
+from repro.program.profiles import BENCHMARK_NAMES
 from repro.program.stats import FrequencyTable
 from repro.program.synth import synthesize_benchmark
 
@@ -190,3 +199,159 @@ def test_sweep_charges_recover_ops(messages, bits):
     assert swept["ops.candidate_enumerations"] == len(messages)
     for op in _SWEEP_OPS:
         assert swept[op] == recovered[op], op
+
+
+#: Received word -> its message bits.
+_SHIFT = _WORD_CODE.n - _WORD_CODE.k
+_CONTEXTS = [
+    RecoveryContext.for_instructions(
+        FrequencyTable.from_image(
+            synthesize_benchmark(name, length=512, seed=2016)
+        )
+    )
+    for name in BENCHMARK_NAMES
+]
+
+
+def _distinct_class_words(count, seed):
+    """*count* 2-bit DUE words whose decision classes (syndrome, selector
+    base) are pairwise distinct, so no decision row is ever reused."""
+    rng = random.Random(seed)
+    patterns = [pattern.vector for pattern in double_bit_patterns(_WORD_CODE.n)]
+    classes, words = set(), []
+    while len(words) < count:
+        word = _WORD_CODE.encode(rng.getrandbits(32)) ^ rng.choice(patterns)
+        base = (word >> _SHIFT) & ALL_SELECTOR_FIELDS
+        row_class = (_WORD_CODE.syndrome(word), base)
+        if row_class not in classes:
+            classes.add(row_class)
+            words.append(word)
+    return words
+
+
+def _serve(requests):
+    """Serve ``(context, word)`` *requests* in order on a fresh engine
+    under a fresh registry; return the answers keyed by request, the
+    op totals and the engine."""
+    registry = obs_metrics.MetricsRegistry()
+    previous = obs_metrics.set_registry(registry)
+    try:
+        engine = SwdEcc(_WORD_CODE, tie_break=TieBreak.FIRST, rng=random.Random(0))
+        answers = {
+            (id(context), word): engine.recover(word, context)
+            for context, word in requests
+        }
+    finally:
+        obs_metrics.set_registry(previous)
+    return answers, op_counts(registry), engine
+
+
+def test_interleaved_contexts_answer_and_charge_as_each_alone():
+    """Five contexts, word by word, on one engine: every answer and
+    every op total equals serving each context's words alone, and each
+    context ends with the verdicts serving it alone builds."""
+    words = _distinct_class_words(5 * 30, seed=15)
+    streams = [words[index::5] for index in range(5)]
+    alone = [
+        (context, word)
+        for context, stream in zip(_CONTEXTS, streams)
+        for word in stream
+    ]
+    interleaved = [
+        (context, stream[position])
+        for position in range(30)
+        for context, stream in zip(_CONTEXTS, streams)
+    ]
+    alone_answers, alone_ops, alone_engine = _serve(alone)
+    answers, ops, engine = _serve(interleaved)
+    assert answers == alone_answers
+    assert ops == alone_ops
+    for context in _CONTEXTS:
+        assert engine._verdicts.table_for(context) == (
+            alone_engine._verdicts.table_for(context)
+        )
+
+
+def test_warm_verdict_tables_charge_what_cold_ones_do():
+    """Charges are per decided word, never per verdict-table miss: the
+    same words charge the same ops whether the context's verdict table
+    starts empty or was filled by an earlier sweep."""
+    words = _distinct_class_words(40, seed=16)
+    context = _CONTEXTS[2]
+    window = [word >> _SHIFT for word in words[:8]]
+    bits = (1 << 5) | (1 << 30)
+
+    def charges(warm):
+        registry = obs_metrics.MetricsRegistry()
+        previous = obs_metrics.set_registry(registry)
+        try:
+            engine = SwdEcc(
+                _WORD_CODE, tie_break=TieBreak.FIRST, rng=random.Random(0)
+            )
+            if warm:
+                engine.sweep_probabilities(window, bits, context)
+                assert len(engine._verdicts.table_for(context)) > 0
+            before = op_counts(registry)
+            answers = [engine.recover(word, context) for word in words]
+            swept = engine.sweep_probabilities(window, bits, context)
+            after = op_counts(registry)
+        finally:
+            obs_metrics.set_registry(previous)
+        return answers, swept, {op: after[op] - before[op] for op in after}
+
+    assert charges(warm=True) == charges(warm=False)
+
+
+class _LargeContext(RecoveryContext):
+    """A context too large for the small-object allocator.  A freed
+    one's memory goes back to the system allocator, which hands it to
+    the next object of its size, so its id is soon reused."""
+
+    __slots__ = tuple(f"_pad{index}" for index in range(96))
+
+
+def test_recycled_context_id_gets_its_own_verdicts():
+    """A dropped context lives on in its verdict table, so its id cannot
+    be recycled; once the cap drops the table the id is free, and a new
+    context that lands on it must not read the old verdicts.  Two
+    frequency tables favour different mnemonics, so one word recovers
+    differently under each."""
+    favour_addiu = FrequencyTable.from_counts("a", {"addiu": 100, "lw": 1, "sw": 1})
+    favour_lw = FrequencyTable.from_counts("b", {"lw": 100, "addiu": 1, "sw": 1})
+    word = 0x2835982FF
+    oracle = SwdEcc(_WORD_CODE, tie_break=TieBreak.FIRST, cache=False)
+    expected_first = oracle.recover(
+        word, _LargeContext(frequency_table=favour_addiu)
+    ).chosen_message
+    expected_second = oracle.recover(
+        word, _LargeContext(frequency_table=favour_lw)
+    ).chosen_message
+    assert expected_first != expected_second
+
+    engine = SwdEcc(_WORD_CODE, tie_break=TieBreak.FIRST)
+    first = _LargeContext(frequency_table=favour_addiu)
+    assert engine.recover(word, first).chosen_message == expected_first
+    # Serving another context moves the row memo off ``first``; from
+    # here on only its verdict table refers to it.
+    engine.recover(word, RecoveryContext())
+    first_id, first_ref = id(first), weakref.ref(first)
+    del first
+    gc.collect()
+    assert first_ref() is not None  # its table keeps the id taken
+    first = first_ref()
+    for _ in range(cache_module.MAX_CONTEXTS):
+        engine.recover(word, RecoveryContext())
+    tables = engine._verdicts._tables.values()
+    assert all(table.context is not first for table in tables)  # capped
+    del first, tables  # the last reference: the id is free from here on
+    gc.collect()
+    assert first_ref() is None
+
+    held = []  # keep misses alive so their memory is not handed back
+    while len(held) < 1000:
+        second = _LargeContext(frequency_table=favour_lw)
+        if id(second) == first_id:
+            break
+        held.append(second)
+    assert id(second) == first_id, "no context reused the dropped id"
+    assert engine.recover(word, second).chosen_message == expected_second

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ObservabilityError
 from repro.obs.metrics import (
@@ -11,7 +13,9 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     NULL_REGISTRY,
+    diff_snapshot,
     get_registry,
+    merge_snapshot,
     set_registry,
 )
 
@@ -104,6 +108,98 @@ class TestHistogram:
         histogram.reset()
         assert histogram.count == 0
         assert histogram.buckets == (1, 2)
+
+
+class TestObserveCounts:
+    """``observe_counts({value: count})`` is ``count`` ``observe(value)``
+    calls per value, committed at once."""
+
+    BUCKETS = (1, 2, 4, 8)
+
+    def _pair(self, counts):
+        batched = Histogram("h", buckets=self.BUCKETS)
+        batched.observe_counts(counts)
+        repeated = Histogram("h", buckets=self.BUCKETS)
+        for value, count in counts.items():
+            for _ in range(count):
+                repeated.observe(value)
+        return batched, repeated
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        counts=st.dictionaries(
+            st.integers(min_value=-3, max_value=40),
+            st.integers(min_value=0, max_value=30),
+            max_size=8,
+        )
+    )
+    def test_equals_repeated_observe_for_integer_values(self, counts):
+        batched, repeated = self._pair(counts)
+        assert batched.as_dict() == repeated.as_dict()
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            {1: 3, 2: 1, 4: 2, 8: 5},  # every value equal to a bound
+            {9: 2, 1000: 1},           # overflow bucket only
+            {},                        # nothing to record
+            {3: 0, 5: 0},              # zero counts only
+            {0: 0, 7: 4, 2: 0},        # zero counts beside a real one
+        ],
+    )
+    def test_edge_cases_equal_repeated_observe(self, counts):
+        batched, repeated = self._pair(counts)
+        assert batched.as_dict() == repeated.as_dict()
+        assert batched.bucket_counts() == repeated.bucket_counts()
+        assert (batched.count, batched.sum, batched.min, batched.max) == (
+            repeated.count, repeated.sum, repeated.min, repeated.max
+        )
+
+    def test_zero_counts_leave_min_and_max_alone(self):
+        histogram = Histogram("h", buckets=self.BUCKETS)
+        histogram.observe_counts({0: 0, 100: 0})
+        assert histogram.min is None and histogram.max is None
+        histogram.observe_counts({3: 1, 0: 0, 100: 0})
+        assert (histogram.min, histogram.max) == (3, 3)
+
+    def test_negative_count_raises_and_records_nothing(self):
+        histogram = Histogram("h", buckets=self.BUCKETS)
+        histogram.observe(2)
+        before = histogram.as_dict()
+        with pytest.raises(ObservabilityError):
+            histogram.observe_counts({1: 4, 3: -1})
+        assert histogram.as_dict() == before
+
+    def test_null_registry_discards(self):
+        histogram = NULL_REGISTRY.histogram("observe_counts.null", buckets=(1,))
+        histogram.observe_counts({1: 5, 9: 2})
+        assert histogram.count == 0
+        assert histogram.min is None and histogram.max is None
+
+    def test_snapshot_round_trips_are_unchanged(self):
+        """A shard that batches its observations ships the same deltas,
+        and its parent merges the same totals, as one that does not."""
+        rounds = ({1: 2, 3: 1}, {9: 4}, {}, {2: 1, 8: 0})
+        parents = []
+        for batched in (True, False):
+            shard, parent = MetricsRegistry(), MetricsRegistry()
+            histogram = shard.histogram("h", buckets=self.BUCKETS)
+            shipped, deltas = {}, []
+            for counts in rounds:
+                if batched:
+                    histogram.observe_counts(counts)
+                else:
+                    for value, count in counts.items():
+                        for _ in range(count):
+                            histogram.observe(value)
+                current = shard.as_dict()
+                deltas.append(diff_snapshot(shipped, current))
+                merge_snapshot(deltas[-1], parent)
+                shipped = current
+            parents.append((deltas, parent.as_dict(), shard.as_dict()))
+        assert parents[0] == parents[1]
+        deltas, merged, shard_total = parents[0]
+        assert merged == shard_total
 
 
 class TestRegistry:
