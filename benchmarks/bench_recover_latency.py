@@ -20,17 +20,14 @@ push its best pass *down*.  A separate per-call sampling pass
 p50/p99 microseconds; it is not used for the gate.
 
 The gate asserts the table's promise: table recoveries/s must be at
-least ``MIN_SPEEDUP``x the reference configuration.  Every run
-appends one record per configuration to ``BENCH_recover.json`` at the
-repo root.
+least ``MIN_SPEEDUP``x the reference configuration.  It prints its
+figures and writes no file; ``perfbench/run.py`` keeps the
+provenance-stamped performance record.
 """
 
 from __future__ import annotations
 
-import json
 import random
-from datetime import datetime, timezone
-from pathlib import Path
 from time import perf_counter, perf_counter_ns
 
 from benchmarks.conftest import emit
@@ -50,22 +47,8 @@ SEED = 2016
 WORDS_PER_PASS = 4 * 741
 #: Tight-loop passes whose per-call minimum becomes the gated figure.
 PASSES = 5
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_recover.json"
 
 MODES = ("reference", "table")
-
-
-def _append_history(record) -> None:
-    history = []
-    if RESULTS_PATH.exists():
-        try:
-            history = json.loads(RESULTS_PATH.read_text())
-        except json.JSONDecodeError:
-            history = []
-    if not isinstance(history, list):
-        history = [history]
-    history.append(record)
-    RESULTS_PATH.write_text(json.dumps(history, indent=2) + "\n")
 
 
 def _due_word_sets(code, image) -> list[list[int]]:
@@ -134,9 +117,6 @@ def _measure(mode: str, code, word_sets, context):
     samples_ns.sort()
     calls = len(samples_ns)
     return {
-        "mode": mode,
-        "calls_per_pass": calls,
-        "passes": PASSES,
         "recoveries_per_s": 1.0 / best_per_call,
         "best_pass_us": best_per_call * 1e6,
         "p50_us": samples_ns[calls // 2] / 1e3,
@@ -150,7 +130,6 @@ def test_table_recover_is_10x_reference():
     context = RecoveryContext.for_instructions(FrequencyTable.from_image(image))
     word_sets = _due_word_sets(code, image)
 
-    timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     results = {}
     notes = []
     for mode in MODES:
@@ -186,17 +165,6 @@ def test_table_recover_is_10x_reference():
         f"p99 {results[mode]['p99_us']:7.2f} us"
         for mode in MODES
     ] + notes
-    for mode in MODES:
-        record = {
-            "timestamp": timestamp,
-            "tool": "bench_recover_latency",
-            "context": CONTEXT,
-            **results[mode],
-        }
-        if mode == "table":
-            record["speedup_vs_reference"] = round(speedup, 2)
-        _append_history(record)
-
     emit(
         "Performance | single-word recover() latency (decode table vs oracle)",
         "\n".join(
@@ -206,7 +174,6 @@ def test_table_recover_is_10x_reference():
                 *lines,
                 f"speedup       : table is {speedup:.1f}x reference "
                 f"(gate >= {MIN_SPEEDUP:.0f}x)",
-                f"history       : {RESULTS_PATH.name}",
             ]
         ),
     )

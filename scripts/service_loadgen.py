@@ -21,11 +21,9 @@ latency is accounted from each request's *scheduled* arrival time, so
 queueing delay shows up in the tail instead of silently throttling
 the generator.
 
-The run reports words/s and p50/p90/p99 request latency, and appends
-the record — including the serving process's ``workers`` count and
-the load ``mode`` — to ``BENCH_service.json`` at the repo root
-(disable with ``--no-history``) so regressions stay visible in
-history.
+The run prints :meth:`LoadResult.to_record` (words/s, p50/p90/p99
+request latency, the slowest trace ids) as JSON and writes no file;
+``perfbench/run.py`` keeps the provenance-stamped performance record.
 """
 
 from __future__ import annotations
@@ -33,38 +31,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import urllib.request
-from datetime import datetime, timezone
-from pathlib import Path
 
 from repro.service import RecoveryService
 from repro.service.loadgen import generate_due_words, run_load
-
-HISTORY_PATH = Path(__file__).resolve().parent.parent / "BENCH_service.json"
-
-
-def _probe_workers(host: str, port: int) -> int | None:
-    """The target service's shard count, from its ``/healthz``."""
-    try:
-        with urllib.request.urlopen(
-            f"http://{host}:{port}/healthz", timeout=5.0
-        ) as response:
-            return json.loads(response.read()).get("workers")
-    except Exception:
-        return None
-
-
-def _append_history(record: dict) -> None:
-    history = []
-    if HISTORY_PATH.exists():
-        try:
-            history = json.loads(HISTORY_PATH.read_text())
-        except json.JSONDecodeError:
-            history = []
-    if not isinstance(history, list):
-        history = [history]
-    history.append(record)
-    HISTORY_PATH.write_text(json.dumps(history, indent=2) + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -94,8 +63,6 @@ def main(argv: list[str] | None = None) -> int:
                         "(fixed offered rate)")
     parser.add_argument("--rate", type=float, default=None, metavar="RPS",
                         help="offered requests/s (open-loop mode only)")
-    parser.add_argument("--no-history", action="store_true",
-                        help=f"do not append to {HISTORY_PATH.name}")
     args = parser.parse_args(argv)
     if args.mode == "open" and (args.rate is None or args.rate <= 0):
         parser.error("--mode open requires a positive --rate")
@@ -117,10 +84,6 @@ def main(argv: list[str] | None = None) -> int:
             host, port = "127.0.0.1", service.port
             print(f"self-hosting recovery service on {service.url} "
                   f"(workers={args.workers})", file=sys.stderr)
-        workers = (
-            args.workers if service is not None
-            else _probe_workers(host, port)
-        )
         result = run_load(
             host, port,
             clients=args.clients,
@@ -135,22 +98,8 @@ def main(argv: list[str] | None = None) -> int:
         if service is not None:
             service.stop()
 
-    record = {
-        "timestamp": datetime.now(timezone.utc).isoformat(
-            timespec="seconds"
-        ),
-        "tool": "service_loadgen",
-        "self_hosted": service is not None,
-        "workers": workers,
-        "context": args.context,
-        "words_per_request": args.batch,
-        **result.to_record(),
-    }
-    if not args.no_history:
-        _append_history(record)
-
     summary = result.to_record()
-    print(json.dumps(record, indent=2))
+    print(json.dumps(summary, indent=2))
     print(
         f"\nloadgen: {summary['words']} words over "
         f"{summary['wall_seconds']}s = "

@@ -31,13 +31,13 @@ price tag.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
 from repro.analysis.parallel import parallel_map
+from repro.analysis.records import append_record
 from repro.core.recovery import RecoveryPipeline
 from repro.core.sideinfo import RecoveryContext
 from repro.core.swdecc import SwdEcc
@@ -452,21 +452,13 @@ def append_mbu_record(
     timestamp: str,
     meta: Mapping[str, object] | None = None,
 ) -> int:
-    """Append one MBU-study record to the ``BENCH_sweep.json`` history.
+    """Append one MBU-study record to the JSON list at *path*.
 
-    Follows the repo's bench-history idiom (see
-    :func:`repro.analysis.pareto.append_energy_record`): the file holds
-    a JSON list of records, tolerates a missing/corrupt file, and each
-    record carries its configuration next to the measured study.
-    Returns the new history length.
+    The record carries its configuration (*meta*) next to the measured
+    study; the file is read and written by
+    :func:`repro.analysis.records.append_record`.  Returns the new
+    record count.
     """
-    path = Path(path)
-    try:
-        history = json.loads(path.read_text())
-        if not isinstance(history, list):
-            history = []
-    except (OSError, json.JSONDecodeError):
-        history = []
     record: dict[str, object] = {
         "timestamp": timestamp,
         "study": "mbu",
@@ -477,6 +469,4 @@ def append_mbu_record(
     }
     if meta:
         record.update(dict(meta))
-    history.append(record)
-    path.write_text(json.dumps(history, indent=2) + "\n")
-    return len(history)
+    return append_record(path, record)

@@ -21,12 +21,12 @@ default comparison (their 2-bit patterns are plain CEs).
 
 from __future__ import annotations
 
-import json
 import time
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.analysis.records import append_record
 from repro.analysis.sweep import DueSweep, RecoveryStrategy
 from repro.ecc import (
     canonical_secded_39_32,
@@ -229,20 +229,13 @@ def append_energy_record(
     timestamp: str,
     meta: Mapping[str, object] | None = None,
 ) -> int:
-    """Append one benchmark record to the ``BENCH_energy.json`` trajectory.
+    """Append one energy-frontier record to the JSON list at *path*.
 
-    Follows the repo's bench-history idiom: the file holds a JSON list
-    of records, tolerates a missing/corrupt file, and each record
-    carries its configuration next to the measured points plus the 2-D
-    frontier membership.  Returns the new history length.
+    The record carries its configuration (*meta*) next to the measured
+    points plus their 2-D frontier membership; the file is read and
+    written by :func:`repro.analysis.records.append_record`.  Returns
+    the new record count.
     """
-    path = Path(path)
-    try:
-        history = json.loads(path.read_text())
-        if not isinstance(history, list):
-            history = []
-    except (OSError, json.JSONDecodeError):
-        history = []
     frontier = pareto_front(points, include_latency=False)
     frontier_keys = {(p.code, p.strategy) for p in frontier}
     record = {
@@ -259,6 +252,4 @@ def append_energy_record(
     }
     if meta:
         record.update(dict(meta))
-    history.append(record)
-    path.write_text(json.dumps(history, indent=2) + "\n")
-    return len(history)
+    return append_record(path, record)

@@ -85,7 +85,6 @@ class RecoveryRequest:
     code_id: str = DEFAULT_CODE_ID
     context_id: str = DEFAULT_CONTEXT_ID
     timeout_s: float | None = None
-    raw_words: tuple[Any, ...] = field(default=(), repr=False)
     trace: TraceContext | None = field(
         default=None, repr=False, compare=False
     )
@@ -152,7 +151,6 @@ class RecoveryRequest:
             code_id=code_id,
             context_id=context_id,
             timeout_s=timeout_s,
-            raw_words=tuple(raw) if isinstance(raw, list) else (raw,),
         )
 
 

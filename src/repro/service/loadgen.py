@@ -124,7 +124,8 @@ class LoadResult:
         ]
 
     def to_record(self) -> dict:
-        """A JSON-ready summary (for ``BENCH_service.json`` history)."""
+        """A JSON-ready summary of the run (what
+        ``scripts/service_loadgen.py`` prints)."""
         return {
             "clients": self.clients,
             "mode": self.mode,
@@ -157,7 +158,7 @@ def _client_loop(
     words: list[int],
     words_per_request: int,
     context: str,
-    offset: int,
+    client_index: int,
     result: LoadResult,
     lock: threading.Lock,
     errors: list[str],
@@ -180,14 +181,14 @@ def _client_loop(
     # bit is pinned so the ids are never the all-zero value the W3C
     # format reserves).  os.urandom would cost a syscall per request;
     # the generator must never be slower than the service it measures.
-    rng = random.Random(0x7ECC ^ offset)
+    rng = random.Random(0x7ECC ^ client_index)
     counted = dict(
         requests=0, words=0, recovered=0, degraded=0,
         rejected=0, word_errors=0, http_errors=0,
     )
     try:
         for index in range(requests):
-            start = (offset + index * words_per_request) % len(words)
+            start = (index * words_per_request) % len(words)
             batch = [
                 words[(start + i) % len(words)]
                 for i in range(words_per_request)
@@ -309,13 +310,18 @@ def run_load(
             client_index + index * clients
         ) * interval
 
+    # Client i walks its own slice of the pool (every clients-th word
+    # from word i), so no word goes out twice until some client has
+    # sent its whole slice.  A pool with fewer words than clients
+    # hands the surplus clients a slice starting at word i mod N.
     threads = [
         threading.Thread(
             target=_client_loop,
             name=f"loadgen-client-{index}",
             args=(
-                host, port, requests_per_client, words, words_per_request,
-                context, index * 37, result, lock, errors,
+                host, port, requests_per_client,
+                words[index % len(words)::clients], words_per_request,
+                context, index, result, lock, errors,
                 schedule_for(index),
             ),
         )

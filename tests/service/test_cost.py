@@ -10,6 +10,7 @@ histograms record energy per executed micro-batch in both modes.
 from __future__ import annotations
 
 import json
+import threading
 import urllib.request
 
 import pytest
@@ -90,12 +91,26 @@ class TestCostReporting:
             assert joules.sum > 0
 
     def test_degraded_responses_never_carry_cost(self, due_word):
-        # A 0ms timeout degrades to detect-only before any engine work.
-        with _service(report_cost=True) as svc:
-            status, body = post(
-                svc.url + "/recover",
-                {"received": due_word, "timeout_ms": 1},
-            )
+        # The executor blocks until the request has timed out, so the
+        # response always degrades to detect-only.
+        gate = threading.Event()
+        svc = _service(report_cost=True)
+        real_execute = svc._engine.execute
+
+        def gated(requests):
+            gate.wait(10.0)
+            return real_execute(requests)
+
+        svc._batcher._execute = gated
+        with svc:
+            try:
+                status, body = post(
+                    svc.url + "/recover",
+                    {"received": due_word, "timeout_ms": 50},
+                )
+            finally:
+                gate.set()
         assert status == 200
         assert body["degraded"] is True
+        assert body["reason"] == "timeout"
         assert "cost" not in body

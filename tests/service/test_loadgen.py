@@ -61,6 +61,47 @@ class TestRunLoad:
         record = result.to_record()
         assert record["latency_ms"]["p50"] <= record["latency_ms"]["p99"]
 
+    def test_clients_never_resend_a_word_from_a_large_pool(self):
+        """Each client walks its own slice of the pool, so a pool larger
+        than everything sent yields a stream of distinct words."""
+        words = generate_due_words(count=64, seed=13)
+        service = RecoveryService(
+            port=0, registry=MetricsRegistry(), event_log=EventLog()
+        )
+        sent: list[int] = []
+        real_execute = service._engine.execute
+
+        def recording(requests):
+            for request in requests:
+                sent.extend(request.words)
+            return real_execute(requests)
+
+        service._batcher._execute = recording
+        with service:
+            result = run_load(
+                "127.0.0.1", service.port,
+                clients=3, requests_per_client=4,
+                words_per_request=5, context="none", words=words,
+            )
+        assert result.words == 60
+        assert len(sent) == 60
+        assert len(set(sent)) == 60
+
+    def test_more_clients_than_words(self):
+        words = generate_due_words(count=2, seed=17)
+        service = RecoveryService(
+            port=0, registry=MetricsRegistry(), event_log=EventLog()
+        )
+        with service:
+            result = run_load(
+                "127.0.0.1", service.port,
+                clients=3, requests_per_client=2,
+                words_per_request=3, context="none", words=words,
+            )
+        assert result.requests == 6
+        assert result.recovered == 18
+        assert result.http_errors == 0
+
     def test_slowest_traces_name_retained_server_traces(self):
         """The generator's slow-request trace ids resolve in the
         service's /traces buffer when it serves with tracing on."""

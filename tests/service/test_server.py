@@ -14,6 +14,7 @@ from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.promtext import parse_exposition
 from repro.service import RecoveryService, ServiceCatalog
+from repro.service.api import RecoveryRequest
 from repro.service.catalog import DEFAULT_CODE_ID
 
 
@@ -79,6 +80,19 @@ class TestRecoverEndpoints:
         )
         assert status == 200
         assert body["result"]["received"] == due_word
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+    def test_word_spellings_parse_to_equal_requests(self, batch):
+        # A parsed request carries its words, not the client's spelling
+        # of them: "0x1f" and 31 are one recovery job.
+        def parse(word):
+            return RecoveryRequest.from_json(
+                {"received": [word] if batch else word},
+                batch=batch,
+                width_for=lambda code_id: 39,
+            )
+
+        assert parse("0x1f") == parse(31)
 
     def test_batch_recover_preserves_order(self, service, due_word):
         catalog = service.catalog
@@ -235,8 +249,6 @@ class TestDegradation:
         (1-word) queue, so the next HTTP request must overload.
         """
         import time
-
-        from repro.service.api import RecoveryRequest
 
         parked = svc.batcher.submit(RecoveryRequest(words=(due_word,)))
         deadline = time.monotonic() + 5.0
