@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""CI smoke test: end-to-end request tracing on the sharded service.
+"""CI smoke test: end-to-end request tracing on the recovery service.
 
-Starts a 2-shard :class:`repro.service.RecoveryService` with tracing
-enabled and asserts, exiting nonzero on any violation:
+Starts a :class:`repro.service.RecoveryService` with tracing enabled,
+first in-process (``workers=0``) and then with two shard processes
+(``workers=2``), and asserts of each, exiting nonzero on any
+violation:
 
 - requests with and without an inbound W3C ``traceparent`` header are
   answered with a well-formed outbound ``traceparent``; an inbound
@@ -16,7 +18,7 @@ enabled and asserts, exiting nonzero on any violation:
   parent resolves within its tree, stage names are well-formed, every
   sampled request's trace id is retained, the four stage spans sit
   under a ``service.request`` root in chronological order summing to
-  no more than the end-to-end duration, and the worker-side
+  no more than the end-to-end duration, and the engine's
   ``service.shard.execute`` span is nested inside ``shard_exec``;
 - ``GET /spans?format=json`` parses and reports tracing enabled.
 
@@ -76,7 +78,7 @@ def walk(node: dict):
 
 def check_tree(tree: dict, failures: list[str]) -> None:
     """One /traces entry: parents resolve, names well-formed, stages
-    ordered and additive, worker span nested in shard_exec."""
+    ordered and additive, engine span nested in shard_exec."""
     trace_id = tree["trace_id"]
     root = tree["root"]
     if root["name"] != "service.request":
@@ -133,23 +135,23 @@ def check_tree(tree: dict, failures: list[str]) -> None:
                if c["name"] == "service.shard.execute"]
     if not workers:
         failures.append(
-            f"trace {trace_id}: no worker span under shard_exec"
+            f"trace {trace_id}: no engine span under shard_exec"
         )
     for worker in workers:
         if not (shard_exec["start_ns"] <= worker["start_ns"]
                 and worker["end_ns"] <= shard_exec["end_ns"]):
             failures.append(
-                f"trace {trace_id}: worker span escapes the "
+                f"trace {trace_id}: engine span escapes the "
                 f"shard_exec window"
             )
 
 
-def main() -> int:
+def check_service(workers: int, words: list[int]) -> list[str]:
+    """Run every check against a traced service with *workers* shards."""
     failures: list[str] = []
-    words = generate_due_words(count=64, seed=3)
     collector = obs_trace.enable_tracing(obs_trace.SpanCollector())
     service = RecoveryService(
-        port=0, workers=2, max_batch=8,
+        port=0, workers=workers, max_batch=8,
         registry=MetricsRegistry(), event_log=EventLog(),
     )
     service.catalog.preload([CONTEXT])
@@ -268,12 +270,23 @@ def main() -> int:
         obs_trace.disable_tracing()
 
     for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
+        print(f"FAIL (workers={workers}): {failure}", file=sys.stderr)
     if not failures:
         print(
-            f"trace smoke: OK ({len(collector.traces)} traces retained, "
+            f"trace smoke (workers={workers}): OK "
+            f"({len(collector.traces)} traces retained, "
             f"{len(collector)} spans, all four stage histograms present)"
         )
+    return failures
+
+
+def main() -> int:
+    words = generate_due_words(count=64, seed=3)
+    failures = [
+        failure
+        for workers in (0, 2)
+        for failure in check_service(workers, words)
+    ]
     return 1 if failures else 0
 
 

@@ -186,25 +186,27 @@ def run_fig5(
     image: ProgramImage | None = None,
     num_instructions: int = 100,
 ) -> Fig5Result:
-    """Compute Fig. 5 for *image* (synthetic mcf by default)."""
+    """Compute Fig. 5 for *image* (synthetic mcf by default).
+
+    Each pattern runs the sweep kernel
+    (:meth:`~repro.core.swdecc.SwdEcc.sweep_probabilities`) over the
+    whole window: its per-word ``(num_candidates, num_valid)`` are the
+    counts :meth:`~repro.core.swdecc.SwdEcc.recover` reports, with
+    ``num_valid`` 0 when the filter fell back.
+    """
     code = code or default_code()
     image = image or synthesize_benchmark("mcf", length=_DEFAULT_IMAGE_LENGTH)
     window = min(num_instructions, len(image))
     sweep = DueSweep(code, RecoveryStrategy.FILTER_ONLY, window)
     engine = sweep.engine
     context = RecoveryContext.for_instructions(FrequencyTable.from_image(image))
-    encoded = [code.encode(word) for word in image.words[:window]]
+    messages = image.words[:window]
     candidate_matrix = []
     valid_matrix = []
     for pattern in sweep.patterns:
-        candidate_row = []
-        valid_row = []
-        for codeword in encoded:
-            result = engine.recover(pattern.apply(codeword), context)
-            candidate_row.append(result.num_candidates)
-            valid_row.append(0 if result.filter_fell_back else result.num_valid)
-        candidate_matrix.append(tuple(candidate_row))
-        valid_matrix.append(tuple(valid_row))
+        stats = engine.sweep_probabilities(messages, pattern.vector, context)
+        candidate_matrix.append(tuple(count for _, count, _ in stats))
+        valid_matrix.append(tuple(valid for _, _, valid in stats))
     return Fig5Result(
         benchmark=image.name,
         candidate_matrix=tuple(candidate_matrix),

@@ -6,10 +6,11 @@ the recovery heuristic, and reports per-pattern success rates.  This
 module runs that sweep for any (code, strategy, images) combination.
 
 Success is measured with
-:meth:`repro.core.swdecc.SwdEcc.recovery_probability` — the exact
-probability that the strategy picks the original message — rather than
-a single sampled tie-break, so sweep output is deterministic and equals
-the expectation of the paper's sampled procedure.
+:meth:`repro.core.swdecc.SwdEcc.sweep_probabilities` — per word, the
+exact probability that the strategy picks the original message —
+rather than a single sampled tie-break, so sweep output is
+deterministic and equals the expectation of the paper's sampled
+procedure.
 
 Two things make the sweep fast (see ``docs/performance.md``): the
 engine serves every pattern from the code's decode table, and

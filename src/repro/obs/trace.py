@@ -20,18 +20,15 @@ stats`` and ``--profile`` print.
 On top of the in-process spans sits **request-scoped tracing** for the
 recovery service (Dapper-style):
 
-- :class:`TraceContext` is a picklable ``(trace_id, span_id, sampled)``
-  triple that crosses thread and process boundaries.  It parses from
-  and renders to the W3C ``traceparent`` header
+- :class:`TraceContext` is a ``(trace_id, span_id, sampled)`` triple.
+  It parses from and renders to the W3C ``traceparent`` header
   (``00-<32 hex trace id>-<16 hex span id>-<2 hex flags>``), so
   external callers can correlate their own traces with ours.
 - Trace-scoped span ids are *random* 63-bit integers
-  (:func:`new_span_id`), not the collector's sequential counter, so
-  spans minted independently in shard worker processes never collide
-  when they are re-parented into the parent collector.
-- :meth:`SpanCollector.begin_trace` / :meth:`SpanCollector.finish_trace`
-  stage every span recorded under a trace id and, at request end, fold
-  them into a :class:`TraceEntry` kept in the collector's bounded
+  (:func:`new_span_id`), not the collector's sequential counter.
+- :meth:`SpanCollector.record_trace` takes one finished request's
+  spans, built together by the caller once the request ends, and
+  keeps them as a :class:`TraceEntry` in the collector's bounded
   :class:`TraceBuffer` — the slowest N requests by end-to-end latency,
   each with its full span tree (``GET /traces``, ``repro trace``).
 
@@ -48,7 +45,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
     "Span",
@@ -76,10 +73,6 @@ DEFAULT_MAX_SPANS = 10_000
 #: Slow-request trace entries retained by a collector's buffer.
 DEFAULT_TRACE_CAPACITY = 64
 
-#: In-flight traces the collector will stage concurrently; beyond this
-#: the oldest staging slot is shed (its spans still reach the ring).
-_MAX_STAGED_TRACES = 4096
-
 #: The only ``traceparent`` version we speak (the W3C-defined one).
 _TRACEPARENT_VERSION = "00"
 
@@ -100,10 +93,10 @@ def new_trace_id() -> str:
 def new_span_id() -> int:
     """A random nonzero 63-bit span id.
 
-    Random (not sequential) so ids minted independently in shard
-    worker processes are collision-free when re-parented into the
-    parent collector; 63 bits keeps them positive ints that render as
-    16 hex chars for ``traceparent``.
+    Random (not sequential) because the id leaves the process in
+    ``traceparent`` headers, where it must not repeat across requests,
+    restarts or the callers' own spans of the same trace; 63 bits
+    keeps them positive ints that render as 16 hex chars.
     """
     while True:
         span_id = int.from_bytes(os.urandom(8), "big") >> 1
@@ -119,10 +112,8 @@ def format_span_id(span_id: int) -> str:
 class TraceContext(NamedTuple):
     """One request's trace identity: where new child spans attach.
 
-    Picklable (it crosses the shard process boundary inside
-    :class:`~repro.service.api.RecoveryRequest`).  ``sampled`` False
-    means the id is propagated for correlation but no spans are
-    recorded for it.
+    ``sampled`` False means the id is propagated for correlation but
+    no spans are recorded for it.
     """
 
     trace_id: str
@@ -133,10 +124,6 @@ class TraceContext(NamedTuple):
     def new(cls, sampled: bool = True) -> "TraceContext":
         """A fresh root context with random ids."""
         return cls(new_trace_id(), new_span_id(), sampled)
-
-    def child(self, span_id: int) -> "TraceContext":
-        """The context a child span propagates onward."""
-        return TraceContext(self.trace_id, span_id, self.sampled)
 
     def to_traceparent(self) -> str:
         """Render as a W3C ``traceparent`` header value."""
@@ -239,9 +226,8 @@ def spans_to_forest(spans: Iterable[Span]) -> list[dict]:
 
     Each node carries the wire spelling of its ids (16-hex span ids)
     plus timing, with ``children`` sorted by start time.  Spans whose
-    parent is absent become roots of their own tree — the caller
-    decides whether that is legitimate (a true root) or an orphan to
-    adopt (see :meth:`TraceEntry.as_dict`).
+    parent is absent become roots of their own tree: the raw spans of
+    ``/spans`` make many trees, a request's trace makes one.
     """
     nodes: dict[int, dict] = {}
     ordered: list[tuple[Span, dict]] = []
@@ -290,38 +276,8 @@ class TraceEntry:
     spans: tuple[Span, ...]
 
     def as_dict(self) -> dict[str, object]:
-        """JSON tree for ``/traces``: one root, every parent present.
-
-        Spans whose parent fell outside the staging window (e.g. a
-        stage span recorded after a timed-out request already
-        finished) are *adopted* under the root rather than emitted as
-        dangling trees, so consumers can rely on parent links
-        resolving within the document.
-        """
-        forest = spans_to_forest(self.spans)
-        root_hex = format_span_id(self.root_span_id)
-        root = None
-        orphans = []
-        for node in forest:
-            if node["span_id"] == root_hex and root is None:
-                root = node
-            else:
-                orphans.append(node)
-        if root is None:
-            root = {
-                "name": "service.request",
-                "span_id": root_hex,
-                "parent_id": None,
-                "trace_id": self.trace_id,
-                "start_ns": min((s.start_ns for s in self.spans), default=0),
-                "end_ns": max((s.end_ns for s in self.spans), default=0),
-                "duration_ns": self.duration_ns,
-                "children": [],
-            }
-        for node in orphans:
-            node["parent_id"] = root_hex
-            root["children"].append(node)
-        root["children"].sort(key=lambda child: child["start_ns"])
+        """JSON tree for ``/traces``: one root, every parent present."""
+        (root,) = spans_to_forest(self.spans)
         return {
             "trace_id": self.trace_id,
             "remote_parent_id": (
@@ -422,7 +378,6 @@ class SpanCollector:
         self._next_id = 0
         self._recorded = 0
         self._aggregate: dict[str, dict[str, float]] = {}
-        self._staging: dict[str, list[Span]] = {}
         self.traces = TraceBuffer(trace_capacity)
 
     def _stack(self) -> list[tuple[str, int, int | None, int]]:
@@ -457,11 +412,10 @@ class SpanCollector:
         )
 
     def record(self, item: Span) -> None:
-        """Retain one finished span (built here or shipped from afar).
+        """Retain one finished span.
 
-        Updates the exact per-name aggregate, appends to the bounded
-        raw-span deque, and — when the span belongs to a trace that is
-        currently staged — files it for that trace's entry.
+        Updates the exact per-name aggregate and appends to the
+        bounded raw-span deque.
         """
         duration = item.duration_ns
         with self._lock:
@@ -482,50 +436,29 @@ class SpanCollector:
                     entry["min_ns"] = duration
                 if duration > entry["max_ns"]:
                     entry["max_ns"] = duration
-            if item.trace_id is not None:
-                staged = self._staging.get(item.trace_id)
-                if staged is not None:
-                    staged.append(item)
 
-    # -- request-trace staging ------------------------------------------
-
-    def begin_trace(self, trace_id: str) -> None:
-        """Open a staging slot collecting spans recorded for *trace_id*."""
-        with self._lock:
-            if trace_id not in self._staging:
-                while len(self._staging) >= _MAX_STAGED_TRACES:
-                    self._staging.pop(next(iter(self._staging)))
-                self._staging[trace_id] = []
-
-    def finish_trace(
+    def record_trace(
         self,
-        trace_id: str,
+        spans: Sequence[Span],
         root_span_id: int,
         remote_parent_id: int | None = None,
-    ) -> TraceEntry | None:
-        """Close *trace_id*'s staging slot into the trace buffer.
+    ) -> TraceEntry:
+        """Record one finished request's spans and retain its trace.
 
-        The root span must already be :meth:`record`-ed.  Returns the
-        retained :class:`TraceEntry` (or ``None`` when nothing was
-        staged — e.g. the slot was shed under staging pressure).
+        *spans* must form one tree under the span *root_span_id*, with
+        every parent present.  Each span is :meth:`record`-ed, and the
+        request is offered to the slow-trace buffer as a
+        :class:`TraceEntry` whose duration is the root span's.
         """
-        with self._lock:
-            staged = self._staging.pop(trace_id, None)
-        if not staged:
-            return None
-        root = next(
-            (s for s in staged if s.span_id == root_span_id), None
-        )
-        duration_ns = (
-            root.duration_ns if root is not None
-            else max(s.end_ns for s in staged) - min(s.start_ns for s in staged)
-        )
+        for item in spans:
+            self.record(item)
+        root = next(item for item in spans if item.span_id == root_span_id)
         entry = TraceEntry(
-            trace_id=trace_id,
+            trace_id=root.trace_id,
             root_span_id=root_span_id,
             remote_parent_id=remote_parent_id,
-            duration_ns=duration_ns,
-            spans=tuple(sorted(staged, key=lambda s: s.start_ns)),
+            duration_ns=root.duration_ns,
+            spans=tuple(sorted(spans, key=lambda s: s.start_ns)),
         )
         self.traces.add(entry)
         return entry

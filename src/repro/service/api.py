@@ -15,12 +15,11 @@ from __future__ import annotations
 import json
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core.swdecc import RecoveryResult
 from repro.errors import ServiceError
-from repro.obs.trace import TraceContext
 from repro.service.catalog import DEFAULT_CODE_ID, DEFAULT_CONTEXT_ID
 
 __all__ = [
@@ -73,21 +72,14 @@ class RecoveryRequest:
     batcher before degrading to detect-only; ``None`` means the
     server's default.
 
-    ``trace`` is the request's sampled trace context, attached by the
-    HTTP layer when a collector is recording; it rides the request
-    through the batcher and across the shard process boundary (the
-    tuple pickles) so worker-side spans re-parent correctly.  It is
-    excluded from equality so identical recovery jobs still compare
-    equal regardless of trace identity.
+    It holds recovery inputs only: it is queued and pickled to shard
+    workers as is, while the request's trace stays with the HTTP layer.
     """
 
     words: tuple[int, ...]
     code_id: str = DEFAULT_CODE_ID
     context_id: str = DEFAULT_CONTEXT_ID
     timeout_s: float | None = None
-    trace: TraceContext | None = field(
-        default=None, repr=False, compare=False
-    )
 
     @classmethod
     def from_json(

@@ -42,21 +42,21 @@ import time
 from collections import deque
 from collections.abc import Callable, Sequence
 from concurrent.futures import Future
-from dataclasses import dataclass, field, replace
 from functools import partial
 from threading import Condition, Thread
 
 from repro.errors import ServiceError, ServiceOverloadError
 from repro.obs import metrics as obs_metrics
-from repro.obs import trace as obs_trace
 from repro.service.api import RecoveryRequest
 from repro.service.shards import ShardPool
 
-__all__ = ["RecoveryBatcher", "ShardedBatcher"]
+__all__ = ["Job", "RecoveryBatcher", "ShardedBatcher"]
 
 #: Executor contract: one result object per request, in request order.
-#: The batcher passes results through opaquely (the service returns
-#: ``{"payloads": [...], "cost": ...}`` outcome dicts).
+#: The batcher passes results through opaquely, except that it takes
+#: the ``"engine_ns"`` key off dict results (the service's
+#: :class:`~repro.service.shards.BatchEngine` outcomes) into
+#: :attr:`Job.engine_ns`.
 BatchExecutor = Callable[[Sequence[RecoveryRequest]], "list[dict]"]
 
 #: Starting estimate of seconds of engine work per word, before any
@@ -68,23 +68,27 @@ _INITIAL_SECONDS_PER_WORD = 5e-5
 _EWMA_ALPHA = 0.2
 
 
-@dataclass
-class _Job:
-    """One queued request plus its completion future.
+class Job(Future):
+    """One queued request: the future :meth:`RecoveryBatcher.submit`
+    returns, resolving to the executor's result for the request.
 
-    ``enqueued_ns`` is the ``perf_counter_ns`` reading taken at submit
-    time; together with the batch's execute window it decomposes each
-    request's latency into the ``service.stage.*`` histograms and
-    spans.
+    Beside the result it carries the request's timings, all
+    ``perf_counter_ns`` readings of this process: ``enqueued_ns``
+    (submit), ``exec_ns`` (the execute window of its batch) and
+    ``engine_ns`` (the executor's own work on this request, as two
+    offsets from the window's start, or ``None`` when the result did
+    not report them).  The batcher sets them before the future
+    resolves and observes its ``service.stage.*`` histograms from the
+    same readings; the HTTP layer builds the request's trace from them.
     """
 
-    request: RecoveryRequest
-    future: Future = field(default_factory=Future)
-    enqueued_ns: int = field(default_factory=time.perf_counter_ns)
-
-    @property
-    def words(self) -> int:
-        return len(self.request.words)
+    def __init__(self, request: RecoveryRequest) -> None:
+        super().__init__()
+        self.request = request
+        self.words = len(request.words)
+        self.enqueued_ns = time.perf_counter_ns()
+        self.exec_ns: tuple[int, int] | None = None
+        self.engine_ns: tuple[int, int] | None = None
 
 
 class RecoveryBatcher:
@@ -95,8 +99,8 @@ class RecoveryBatcher:
     execute:
         Called from the worker thread with the gathered requests; must
         return one result object per request, in order (the batcher
-        never looks inside).  An exception fails every request in the
-        batch.
+        only takes ``"engine_ns"`` off dict results).  An exception
+        fails every request in the batch.
     max_batch:
         Most words one batch takes from the queue (a single larger job
         still runs, alone).
@@ -131,7 +135,7 @@ class RecoveryBatcher:
         self._max_batch = max_batch
         self._queue_limit = queue_limit
         self._cond = Condition()
-        self._queue: deque[_Job] = deque()
+        self._queue: deque[Job] = deque()
         self._queued_words = 0
         self._stop = False
         self._thread: Thread | None = None
@@ -236,8 +240,8 @@ class RecoveryBatcher:
             self._queued_words = 0
         self._g_depth.set(0.0)
         for job in leftovers:
-            if job.future.set_running_or_notify_cancel():
-                job.future.set_exception(
+            if job.set_running_or_notify_cancel():
+                job.set_exception(
                     ServiceError("recovery batcher stopped before execution")
                 )
 
@@ -251,15 +255,15 @@ class RecoveryBatcher:
     # Producer side
     # ------------------------------------------------------------------
 
-    def submit(self, request: RecoveryRequest) -> "Future[dict]":
-        """Enqueue *request*; its future resolves to the executor's
-        per-request result object.
+    def submit(self, request: RecoveryRequest) -> Job:
+        """Enqueue *request*; the returned :class:`Job` resolves to the
+        executor's per-request result object.
 
         Raises :class:`ServiceOverloadError` (with ``retry_after``)
         when accepting the request would exceed the queue limit, and
         :class:`ServiceError` when the batcher is not running.
         """
-        job = _Job(request)
+        job = Job(request)
         with self._cond:
             if self._stop or self._thread is None:
                 raise ServiceError(
@@ -275,7 +279,7 @@ class RecoveryBatcher:
             self._queued_words += job.words
             self._g_depth.set(self._queued_words)
             self._cond.notify()
-        return job.future
+        return job
 
     def _retry_after_locked(self) -> float:
         estimate = self._queued_words * self._seconds_per_word
@@ -285,7 +289,7 @@ class RecoveryBatcher:
     # Consumer side (worker thread)
     # ------------------------------------------------------------------
 
-    def _gather(self) -> list[_Job] | None:
+    def _gather(self) -> list[Job] | None:
         """Block for work, then take what is queued; ``None`` means
         shut down.
 
@@ -317,11 +321,11 @@ class RecoveryBatcher:
                 return
             self._run_batch(batch)
 
-    def _run_batch(self, batch: list[_Job]) -> None:
+    def _run_batch(self, batch: list[Job]) -> None:
         # Standard future handshake: claim each job, shedding the ones
         # a timed-out client already cancelled.
         live = [
-            job for job in batch if job.future.set_running_or_notify_cancel()
+            job for job in batch if job.set_running_or_notify_cancel()
         ]
         words = sum(job.words for job in live)
         self._h_batch_words.observe(words)
@@ -333,27 +337,11 @@ class RecoveryBatcher:
             self._h_stage_queue_wait.observe(
                 max(exec_start_ns - job.enqueued_ns, 0) / 1e9
             )
-        # Traced jobs get a per-request shard_exec span minted *now* so
-        # the executor (possibly in another process) can parent its own
-        # spans under it; the context rides inside the request.
-        collector = obs_trace.current_collector()
-        exec_span_ids: dict[int, int] = {}
-        requests = []
-        for job in live:
-            context = job.request.trace
-            if context is not None and collector is not None:
-                exec_id = obs_trace.new_span_id()
-                exec_span_ids[id(job)] = exec_id
-                requests.append(
-                    replace(job.request, trace=context.child(exec_id))
-                )
-            else:
-                requests.append(job.request)
         try:
-            results = self._execute(requests)
+            results = self._execute([job.request for job in live])
         except BaseException as error:  # executor failed: fail the batch
             for job in live:
-                job.future.set_exception(error)
+                job.set_exception(error)
             return
         exec_end_ns = time.perf_counter_ns()
         elapsed = (exec_end_ns - exec_start_ns) / 1e9
@@ -371,74 +359,13 @@ class RecoveryBatcher:
                 f"for {len(live)} requests"
             )
             for job in live:
-                job.future.set_exception(error)
+                job.set_exception(error)
             return
         for job, result in zip(live, results):
-            self._record_job_spans(
-                collector, job, result, exec_span_ids,
-                exec_start_ns, exec_end_ns,
-            )
-            job.future.set_result(result)
-
-    @staticmethod
-    def _record_job_spans(
-        collector: obs_trace.SpanCollector | None,
-        job: _Job,
-        result: object,
-        exec_span_ids: dict[int, int],
-        exec_start_ns: int,
-        exec_end_ns: int,
-    ) -> None:
-        """Record one job's stage spans and re-parent shipped worker
-        spans into the parent collector.
-
-        Worker spans arrive inside the outcome dict as plain
-        ``{"name", "rel_start_ns", "rel_end_ns", "span_id",
-        "parent_id", "trace_id"}`` records, timed relative to the
-        worker's own execute start (its clock is not ours).  Rebasing
-        them onto the parent-observed execute window keeps every child
-        inside its ``service.stage.shard_exec`` parent: the worker's
-        own execute wall is strictly shorter than the parent-observed
-        one (which also pays the IPC), so ``rel_end_ns`` never
-        overruns the window.
-        """
-        shipped = (
-            result.pop("spans", None) if isinstance(result, dict) else None
-        )
-        context = job.request.trace
-        if collector is None or context is None:
-            return
-        exec_id = exec_span_ids.get(id(job))
-        if exec_id is None:
-            return
-        root_id, trace_id = context.span_id, context.trace_id
-        collector.record(obs_trace.Span(
-            name="service.stage.queue_wait",
-            start_ns=job.enqueued_ns,
-            end_ns=max(exec_start_ns, job.enqueued_ns),
-            depth=1, span_id=obs_trace.new_span_id(),
-            parent_id=root_id, trace_id=trace_id,
-        ))
-        collector.record(obs_trace.Span(
-            name="service.stage.shard_exec",
-            start_ns=exec_start_ns, end_ns=exec_end_ns,
-            depth=1, span_id=exec_id,
-            parent_id=root_id, trace_id=trace_id,
-        ))
-        if shipped:
-            window = exec_end_ns - exec_start_ns
-            for raw in shipped:
-                rel_end = min(int(raw["rel_end_ns"]), window)
-                rel_start = min(int(raw["rel_start_ns"]), rel_end)
-                collector.record(obs_trace.Span(
-                    name=str(raw["name"]),
-                    start_ns=exec_start_ns + rel_start,
-                    end_ns=exec_start_ns + rel_end,
-                    depth=2,
-                    span_id=int(raw["span_id"]),
-                    parent_id=int(raw["parent_id"]),
-                    trace_id=str(raw["trace_id"]),
-                ))
+            job.exec_ns = (exec_start_ns, exec_end_ns)
+            if isinstance(result, dict):
+                job.engine_ns = result.pop("engine_ns", None)
+            job.set_result(result)
 
 
 def _aggregate_queue_depth_collector() -> None:
@@ -573,7 +500,7 @@ class ShardedBatcher:
     # Producer side
     # ------------------------------------------------------------------
 
-    def submit(self, request: RecoveryRequest) -> "Future[dict]":
+    def submit(self, request: RecoveryRequest) -> Job:
         """Enqueue *request* on its (code, context) shard queue."""
         index = self._pool.route(request.code_id, request.context_id)
         return self._shards[index].submit(request)

@@ -48,7 +48,6 @@ import math
 import time
 from collections.abc import Callable
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from threading import Thread
 from urllib.parse import parse_qs, urlparse
@@ -64,7 +63,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import server as obs_server
 from repro.obs import trace as obs_trace
 from repro.service import api
-from repro.service.batcher import RecoveryBatcher, ShardedBatcher
+from repro.service.batcher import Job, RecoveryBatcher, ShardedBatcher
 from repro.service.catalog import ServiceCatalog
 from repro.service.selector import AdaptiveCodeSelector
 from repro.service.shards import BatchEngine, ShardPool, ShardSpec
@@ -80,20 +79,23 @@ _MAX_BODY_BYTES = 8 << 20
 
 
 class _RequestTrace:
-    """One request's trace lifecycle, owned by the HTTP layer.
+    """One request's trace: the only code that builds request spans.
 
     Created at ingress by :meth:`RecoveryService.trace_ingress` —
     every POST gets one, so a ``traceparent`` response header is
     always emitted — but spans are recorded only while a collector is
     installed *and* the inbound header (if any) asked for sampling.
-    ``finish`` records the root ``service.request`` span and folds the
-    staged spans into the collector's slow-trace buffer; it is
-    idempotent and runs in a ``finally`` so staging slots never leak.
+    While the request runs, the handler notes the batcher's executed
+    :class:`~repro.service.batcher.Job` (``job``) and the serialize
+    and respond windows (:meth:`stage`).  ``finish`` builds the
+    ``service.request`` root and its children from those readings and
+    records them with one collector call; it is idempotent and runs
+    in a ``finally``.
     """
 
     __slots__ = (
         "context", "remote_parent_id", "collector",
-        "root_start_ns", "_finished",
+        "root_start_ns", "job", "_stages", "_finished",
     )
 
     def __init__(
@@ -106,35 +108,22 @@ class _RequestTrace:
         self.remote_parent_id = remote_parent_id
         self.collector = collector
         self.root_start_ns = time.perf_counter_ns()
+        self.job: Job | None = None
+        self._stages: list[tuple[str, int, int]] = []
         self._finished = False
-        if collector is not None:
-            collector.begin_trace(context.trace_id)
 
     @property
     def traceparent(self) -> str:
         """The outbound ``traceparent`` response header value."""
         return self.context.to_traceparent()
 
-    @property
-    def recording(self) -> bool:
-        """True when spans are being recorded for this request."""
-        return self.collector is not None
-
     def stage(self, name: str, start_ns: int, end_ns: int) -> None:
-        """Record one stage span under the request root (if recording)."""
+        """Note one HTTP-layer stage span under the root (if recording)."""
         if self.collector is not None:
-            self.collector.record(obs_trace.Span(
-                name=name,
-                start_ns=start_ns,
-                end_ns=max(end_ns, start_ns),
-                depth=1,
-                span_id=obs_trace.new_span_id(),
-                parent_id=self.context.span_id,
-                trace_id=self.context.trace_id,
-            ))
+            self._stages.append((name, start_ns, end_ns))
 
     def finish(self, end_ns: int | None = None) -> None:
-        """Record the root span and retire the trace (idempotent)."""
+        """Build and record the request's spans (idempotent)."""
         if self._finished:
             return
         self._finished = True
@@ -143,20 +132,49 @@ class _RequestTrace:
             return
         if end_ns is None:
             end_ns = time.perf_counter_ns()
-        collector.record(obs_trace.Span(
-            name="service.request",
-            start_ns=self.root_start_ns,
-            end_ns=max(end_ns, self.root_start_ns),
-            depth=0,
-            span_id=self.context.span_id,
-            parent_id=None,
-            trace_id=self.context.trace_id,
-        ))
-        collector.finish_trace(
-            self.context.trace_id,
-            root_span_id=self.context.span_id,
-            remote_parent_id=self.remote_parent_id,
-        )
+        trace_id, root_id = self.context.trace_id, self.context.span_id
+
+        def child(
+            name: str, start_ns: int, end_ns: int,
+            parent_id: int = root_id, depth: int = 1,
+        ) -> obs_trace.Span:
+            return obs_trace.Span(
+                name, start_ns, max(end_ns, start_ns), depth,
+                obs_trace.new_span_id(), parent_id, trace_id,
+            )
+
+        spans = [obs_trace.Span(
+            "service.request", self.root_start_ns,
+            max(end_ns, self.root_start_ns), 0, root_id, None, trace_id,
+        )]
+        job = self.job
+        if job is not None:
+            exec_start_ns, exec_end_ns = job.exec_ns
+            shard_exec = child(
+                "service.stage.shard_exec", exec_start_ns, exec_end_ns
+            )
+            spans += [
+                child(
+                    "service.stage.queue_wait", job.enqueued_ns,
+                    exec_start_ns,
+                ),
+                shard_exec,
+            ]
+            if job.engine_ns is not None:
+                # Offsets from the executor's own start, rebased onto
+                # the window observed here.  A shard worker's window is
+                # shorter than ours (ours also pays the IPC), so the
+                # clamp only guards the span's nesting.
+                rel_start, rel_end = job.engine_ns
+                rel_end = min(rel_end, exec_end_ns - exec_start_ns)
+                spans.append(child(
+                    "service.shard.execute",
+                    exec_start_ns + min(rel_start, rel_end),
+                    exec_start_ns + rel_end,
+                    parent_id=shard_exec.span_id, depth=2,
+                ))
+        spans += [child(*stage) for stage in self._stages]
+        collector.record_trace(spans, root_id, self.remote_parent_id)
 
 
 class _RecoveryRequestHandler(BaseHTTPRequestHandler):
@@ -605,8 +623,8 @@ class RecoveryService:
 
         When *trace* is given (the HTTP layer always passes one), its
         trace id is bound into any structured JSON logs emitted while
-        the request is handled, its context rides the queued request,
-        and the serialize stage is recorded.
+        the request is handled, and the executed batch job and the
+        serialize stage are noted on it.
         """
         if trace is None:
             return self._handle_recover(body, batch, None)
@@ -628,8 +646,6 @@ class RecoveryService:
             parsed, batch=batch,
             width_for=lambda code_id: self._catalog.code(code_id).n,
         )
-        if trace is not None and trace.recording:
-            request = replace(request, trace=trace.context)
         # Resolve the context now: unknown ids are a 400, not a queued
         # failure, and the build cost is paid before entering the queue.
         self._catalog.context(request.context_id)
@@ -664,6 +680,8 @@ class RecoveryService:
             return self._shard_failure_response(
                 request, failure, batch, started
             )
+        if trace is not None:
+            trace.job = future
         body_out = self._serialize_stage(
             trace, lambda: self._success_body(request, outcome, batch)
         )

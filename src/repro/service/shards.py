@@ -63,7 +63,6 @@ from repro.errors import ReproError, ServiceError, ShardFailureError
 from repro.obs import energy as obs_energy
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
-from repro.obs import trace as obs_trace
 from repro.service import api
 from repro.service.catalog import ServiceCatalog
 
@@ -124,10 +123,14 @@ class BatchEngine:
     The single consumer of its engines (one batcher worker thread in
     the parent, or one shard process), so the served-answer cache and
     the engines' context caches need no locks.  Per request it returns
-    an opaque outcome ``{"fragments": [json str per word], "cost":
-    dict | None}`` — fragments are spliced into HTTP responses without
-    re-serialization, and they pickle as compact strings across the
-    shard boundary.
+    an outcome ``{"fragments": [json str per word], "cost": dict |
+    None, "engine_ns": (start, end)}`` — fragments are spliced into
+    HTTP responses without re-serialization, and they pickle as
+    compact strings across the shard boundary.  ``engine_ns`` times
+    the request's own engine work as two offsets from the start of the
+    :meth:`execute` call, because absolute ``perf_counter_ns``
+    readings do not compare across processes; the batcher takes it off
+    the outcome and hands it to the HTTP layer beside the result.
     """
 
     def __init__(
@@ -194,11 +197,6 @@ class BatchEngine:
         outcomes: list[dict] = [{} for _ in requests]
         recovered = 0
         failed = 0
-        # Traced requests get one worker-side span each, timed relative
-        # to this execute() call's start: absolute perf_counter readings
-        # do not compare across processes, so the parent rebases the
-        # relative offsets onto its own observed execute window when it
-        # re-parents the span (see RecoveryBatcher._record_job_spans).
         exec_start_ns = time.perf_counter_ns()
         model = obs_energy.get_energy_model()
         batch_before = obs_energy.op_counts(model=model)
@@ -212,11 +210,7 @@ class BatchEngine:
                     cache = self._cache.setdefault(key, {})
             for index in indexes:
                 request = requests[index]
-                trace_context = request.trace
-                request_start_ns = (
-                    time.perf_counter_ns() if trace_context is not None
-                    else 0
-                )
+                request_start_ns = time.perf_counter_ns()
                 before = (
                     obs_energy.op_counts(model=model)
                     if self._report_cost else None
@@ -269,22 +263,14 @@ class BatchEngine:
                         "joules": joules,
                         "joules_per_word": joules / len(request.words),
                     }
-                outcome: dict = {"fragments": fragments, "cost": cost}
-                if trace_context is not None:
-                    # Shipped as plain dicts (picklable, schema-stable)
-                    # and re-parented under the request's shard_exec
-                    # span by the parent-side batcher.
-                    outcome["spans"] = [{
-                        "name": "service.shard.execute",
-                        "rel_start_ns": request_start_ns - exec_start_ns,
-                        "rel_end_ns": (
-                            time.perf_counter_ns() - exec_start_ns
-                        ),
-                        "span_id": obs_trace.new_span_id(),
-                        "parent_id": trace_context.span_id,
-                        "trace_id": trace_context.trace_id,
-                    }]
-                outcomes[index] = outcome
+                outcomes[index] = {
+                    "fragments": fragments,
+                    "cost": cost,
+                    "engine_ns": (
+                        request_start_ns - exec_start_ns,
+                        time.perf_counter_ns() - exec_start_ns,
+                    ),
+                }
         batch_after = obs_energy.op_counts(model=model)
         batch_deltas = {
             name: batch_after[name] - batch_before[name]

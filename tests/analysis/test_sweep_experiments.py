@@ -20,8 +20,11 @@ from repro.analysis.experiments import (
 )
 from repro.analysis.metrics import BitRegion
 from repro.analysis.sweep import DueSweep, RecoveryStrategy
+from repro.core.sideinfo import RecoveryContext
 from repro.ecc.channel import double_bit_patterns
 from repro.errors import AnalysisError
+from repro.program.image import ProgramImage
+from repro.program.stats import FrequencyTable
 from repro.program.synth import synthesize_benchmark
 
 
@@ -115,6 +118,35 @@ class TestFigureDrivers:
         assert result.mean_valid < result.mean_candidates
         assert 0.0 <= result.single_valid_fraction <= 1.0
         assert "mcf" in result.render()
+
+    def test_fig5_matrices_match_per_word_oracle_recoveries(self, code):
+        """Fig. 5 runs the sweep kernel; its counts equal recovering
+        each corrupted word alone with the uncached engine."""
+        # An all-ones data word is no legal instruction, so some of its
+        # patterns leave no legal candidate and the filter falls back.
+        mcf = synthesize_benchmark("mcf", length=128)
+        image = ProgramImage.from_words("mcf", mcf.words[:5] + (0xFFFFFFFF,))
+        window = len(image)
+        result = run_fig5(code, image, num_instructions=window)
+        oracle = DueSweep(
+            code, RecoveryStrategy.FILTER_ONLY, window, cache=False
+        ).engine
+        context = RecoveryContext.for_instructions(
+            FrequencyTable.from_image(image)
+        )
+        candidates, valid = [], []
+        for pattern in double_bit_patterns(code.n):
+            results = [
+                oracle.recover(pattern.apply(code.encode(word)), context)
+                for word in image.words[:window]
+            ]
+            candidates.append(tuple(r.num_candidates for r in results))
+            valid.append(tuple(
+                0 if r.filter_fell_back else r.num_valid for r in results
+            ))
+        assert result.candidate_matrix == tuple(candidates)
+        assert result.valid_matrix == tuple(valid)
+        assert any(0 in row for row in valid)  # fallbacks are covered
 
     def test_fig6_strategies_ordered(self, code):
         image = synthesize_benchmark("bzip2", length=128)

@@ -128,17 +128,17 @@ class TestTraceEndpoints:
     def _finish_request(collector, trace_id: str, duration_ns: int):
         from repro.obs.trace import Span
 
-        collector.begin_trace(trace_id)
-        collector.record(Span(
-            name="service.stage.shard_exec", start_ns=10,
-            end_ns=duration_ns - 10, depth=1, span_id=2, parent_id=1,
-            trace_id=trace_id,
-        ))
-        collector.record(Span(
-            name="service.request", start_ns=0, end_ns=duration_ns,
-            depth=0, span_id=1, parent_id=None, trace_id=trace_id,
-        ))
-        collector.finish_trace(trace_id, root_span_id=1)
+        collector.record_trace([
+            Span(
+                name="service.stage.shard_exec", start_ns=10,
+                end_ns=duration_ns - 10, depth=1, span_id=2, parent_id=1,
+                trace_id=trace_id,
+            ),
+            Span(
+                name="service.request", start_ns=0, end_ns=duration_ns,
+                depth=0, span_id=1, parent_id=None, trace_id=trace_id,
+            ),
+        ], root_span_id=1)
 
     def test_spans_json_returns_forest(self, traced):
         server, _ = traced

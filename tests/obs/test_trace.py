@@ -1,5 +1,5 @@
 """Unit tests for tracing spans: nesting, timing monotonicity, no-op mode,
-traceparent propagation, bounded retention, and slow-trace staging."""
+traceparent propagation, bounded retention, and request-trace recording."""
 
 from __future__ import annotations
 
@@ -182,11 +182,6 @@ class TestTraceparent:
         assert context is not None
         assert context.trace_id == _TRACE_ID
 
-    def test_child_keeps_trace_and_sampling(self):
-        parent = TraceContext(_TRACE_ID, 7, sampled=False)
-        child = parent.child(11)
-        assert child == TraceContext(_TRACE_ID, 11, False)
-
     def test_random_ids_are_well_formed(self):
         assert len(new_trace_id()) == 32
         assert new_trace_id() != new_trace_id()
@@ -313,71 +308,39 @@ class TestTraceBuffer:
             TraceBuffer(capacity=0)
 
 
-class TestTraceStaging:
-    def test_begin_record_finish_builds_entry(self):
+class TestRecordTrace:
+    def test_record_trace_builds_entry(self):
         collector = SpanCollector()
-        collector.begin_trace(_TRACE_ID)
-        collector.record(_make_span("service.stage.queue_wait", 10, 20,
-                                    span_id=2, parent_id=1,
-                                    trace_id=_TRACE_ID, depth=1))
-        collector.record(_make_span("service.request", 0, 100, span_id=1,
-                                    trace_id=_TRACE_ID))
-        entry = collector.finish_trace(
-            _TRACE_ID, root_span_id=1, remote_parent_id=0xCD
+        entry = collector.record_trace(
+            [
+                _make_span("service.stage.queue_wait", 10, 20, span_id=2,
+                           parent_id=1, trace_id=_TRACE_ID, depth=1),
+                _make_span("service.request", 0, 100, span_id=1,
+                           trace_id=_TRACE_ID),
+            ],
+            root_span_id=1,
+            remote_parent_id=0xCD,
         )
-        assert entry is not None
+        assert entry.trace_id == _TRACE_ID
         assert entry.duration_ns == 100  # the root span's duration
+        assert [s.name for s in entry.spans] == [
+            "service.request", "service.stage.queue_wait",
+        ]  # by start time
         assert collector.traces.get(_TRACE_ID) is entry
+        # Every span also reaches the raw ring and the summary.
+        assert len(collector) == 2
+        assert collector.summary()["service.request"]["count"] == 1
         tree = entry.as_dict()
         assert tree["remote_parent_id"] == format_span_id(0xCD)
         assert tree["span_count"] == 2
         assert tree["root"]["name"] == "service.request"
         children = tree["root"]["children"]
         assert [c["name"] for c in children] == ["service.stage.queue_wait"]
+        assert children[0]["parent_id"] == format_span_id(1)
 
-    def test_finish_without_begin_returns_none(self):
-        collector = SpanCollector()
-        assert collector.finish_trace("un" * 16, root_span_id=1) is None
-        assert len(collector.traces) == 0
-
-    def test_orphans_adopted_under_root(self):
-        collector = SpanCollector()
-        collector.begin_trace(_TRACE_ID)
-        collector.record(_make_span("service.request", 0, 100, span_id=1,
-                                    trace_id=_TRACE_ID))
-        collector.record(_make_span("stray", 40, 60, span_id=5,
-                                    parent_id=999, trace_id=_TRACE_ID))
-        entry = collector.finish_trace(_TRACE_ID, root_span_id=1)
-        tree = entry.as_dict()
-        stray = next(
-            c for c in tree["root"]["children"] if c["name"] == "stray"
-        )
-        assert stray["parent_id"] == format_span_id(1)
-
-    def test_untraced_spans_stay_out_of_staging(self):
-        collector = SpanCollector()
-        collector.begin_trace(_TRACE_ID)
-        collector.record(_make_span("plain", 0, 1, span_id=9))
-        collector.record(_make_span("service.request", 0, 100, span_id=1,
-                                    trace_id=_TRACE_ID))
-        entry = collector.finish_trace(_TRACE_ID, root_span_id=1)
-        assert [s.name for s in entry.spans] == ["service.request"]
-
-    def test_spans_for_unstaged_trace_still_recorded(self):
+    def test_record_alone_keeps_no_trace_entry(self):
         collector = SpanCollector()
         collector.record(_make_span("service.request", 0, 1, span_id=1,
                                     trace_id="fe" * 16))
         assert len(collector) == 1
-        assert collector.finish_trace("fe" * 16, root_span_id=1) is None
-
-    def test_staging_pressure_sheds_oldest_slot(self):
-        from repro.obs.trace import _MAX_STAGED_TRACES
-
-        collector = SpanCollector()
-        collector.begin_trace("old" + "0" * 29)
-        for index in range(_MAX_STAGED_TRACES):
-            collector.begin_trace(f"{index:032x}")
-        # The oldest slot was shed; finishing it yields nothing.
-        assert collector.finish_trace(
-            "old" + "0" * 29, root_span_id=1
-        ) is None
+        assert len(collector.traces) == 0

@@ -10,6 +10,7 @@ import urllib.request
 import pytest
 
 from repro.errors import ServiceError
+from repro.obs import trace as obs_trace
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.promtext import parse_exposition
@@ -318,6 +319,75 @@ class TestDegradation:
             assert svc.registry.get("service.timeouts").value == 1.0
         finally:
             gate.set()
+
+    @staticmethod
+    def _retained_tree(collector, headers) -> dict:
+        """The /traces tree of the request that answered *headers*."""
+        import time
+
+        context = obs_trace.parse_traceparent(headers["traceparent"])
+        deadline = time.monotonic() + 10.0
+        entry = collector.traces.get(context.trace_id)
+        while entry is None and time.monotonic() < deadline:
+            time.sleep(0.005)  # the root is recorded after the reply
+            entry = collector.traces.get(context.trace_id)
+        assert entry is not None
+        tree = entry.as_dict()
+        root = tree["root"]
+        assert root["name"] == "service.request"
+        for child in root["children"]:
+            assert child["parent_id"] == root["span_id"]
+            assert child["children"] == []
+        assert tree["span_count"] == 1 + len(root["children"])
+        return tree
+
+    def test_timed_out_request_trace_has_no_execution_spans(
+        self, due_word
+    ):
+        """The batch finishes after the degraded answer went out; its
+        queue and execution spans never join the request's trace."""
+        gate = threading.Event()
+        svc = self._gated_service("degrade", gate)
+        collector = obs_trace.enable_tracing(obs_trace.SpanCollector())
+        try:
+            with svc:
+                status, body, headers = post(
+                    svc.url + "/recover",
+                    {"received": due_word, "timeout_ms": 50},
+                )
+                gate.set()
+            assert (status, body["reason"]) == (200, "timeout")
+            tree = self._retained_tree(collector, headers)
+        finally:
+            gate.set()
+            obs_trace.disable_tracing()
+        assert [c["name"] for c in tree["root"]["children"]] == [
+            "service.stage.serialize", "service.stage.respond",
+        ]
+
+    def test_overload_degraded_request_trace_is_root_and_respond(
+        self, due_word
+    ):
+        gate = threading.Event()
+        svc = self._gated_service("degrade", gate)
+        collector = obs_trace.enable_tracing(obs_trace.SpanCollector())
+        try:
+            with svc:
+                parked, filler = self._saturate(svc, due_word)
+                status, body, headers = post(
+                    svc.url + "/recover", {"received": due_word}
+                )
+                gate.set()
+                parked.result(timeout=15.0)
+                filler.result(timeout=15.0)
+            assert (status, body["reason"]) == (200, "overload")
+            tree = self._retained_tree(collector, headers)
+        finally:
+            gate.set()
+            obs_trace.disable_tracing()
+        assert [c["name"] for c in tree["root"]["children"]] == [
+            "service.stage.respond",
+        ]
 
 
 class TestLifecycleAndValidation:

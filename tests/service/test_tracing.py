@@ -1,12 +1,13 @@
-"""End-to-end request tracing across the sharded recovery service.
+"""End-to-end request tracing through the recovery service, run
+in-process (``workers=0``) and across two shard processes.
 
-The tracing tentpole's contract, pinned property-style: for every
+The tracing contract, pinned property-style: for every
 traced request the service retains a span tree whose four stage spans
 (`queue_wait`, `shard_exec`, `serialize`, `respond`) decompose the
 end-to-end ``service.request`` span — contiguous, in order, inside
-the root window — and the worker-side
-``service.shard.execute`` span crosses the process boundary with the
-right parent and lands inside ``shard_exec``.  Inbound W3C
+the root window — and the engine's ``service.shard.execute`` span
+(timed in the shard worker when there is one) has the right parent
+and lands inside ``shard_exec``.  Inbound W3C
 ``traceparent`` headers donate the trace id (and surface as the
 entry's remote parent); requests without one get a fresh id; an
 unsampled inbound header propagates ids without recording anything.
@@ -44,13 +45,14 @@ STAGE_NAMES = (
 _ID_COUNTER = itertools.count(1)
 
 
-@pytest.fixture(scope="module")
-def traced_service():
-    """A 2-shard service with tracing on; tiny batches force splits."""
+@pytest.fixture(scope="module", params=[0, 2], ids=lambda n: f"workers{n}")
+def traced_service(request):
+    """A traced service, in-process and with 2 shards; tiny batches
+    force splits."""
     collector = obs_trace.enable_tracing(obs_trace.SpanCollector())
     service = RecoveryService(
         port=0,
-        workers=2,
+        workers=request.param,
         max_batch=3,
         registry=MetricsRegistry(),
         event_log=EventLog(),
@@ -194,7 +196,7 @@ def test_stage_spans_decompose_end_to_end_latency(spec, traced_service):
         stage_sum = sum(stage["duration_ns"] for stage in ordered)
         assert stage_sum <= root["duration_ns"]
 
-        # The worker-side span crossed the process boundary: exactly
+        # The engine span, from a shard worker or in-process: exactly
         # one per request, parented under shard_exec and clamped
         # inside its window.
         shard_exec = stages["service.stage.shard_exec"]
@@ -234,5 +236,13 @@ def test_stage_histograms_observed_for_untraced_requests(traced_service):
         for name in STAGE_NAMES
     }
     _post(service, [CODE.encode(21) ^ 0b101], "none")
+    # respond is observed after the response bytes flush, so the
+    # client can get here before the handler thread observes it.
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline and any(
+        service.registry.histogram(name).count <= before[name]
+        for name in STAGE_NAMES
+    ):
+        time.sleep(0.001)
     for name in STAGE_NAMES:
         assert service.registry.histogram(name).count > before[name], name
