@@ -29,9 +29,7 @@ import sys
 import urllib.request
 
 from repro.ecc import canonical_secded_39_32
-from repro.obs import events as obs_events
 from repro.obs import promtext
-from repro.obs.metrics import MetricsRegistry
 from repro.service import AdaptiveCodeSelector, RecoveryService
 from repro.service.catalog import _CONTEXT_IMAGE_LENGTH, _CONTEXT_SEED
 from repro.service.loadgen import run_load
@@ -69,16 +67,10 @@ def adjacent_burst_due_words(count: int = 32, seed: int = 7) -> list[int]:
 def main() -> int:
     failures: list[str] = []
     words = adjacent_burst_due_words(WORDS_PER_REQUEST)
-    registry = MetricsRegistry()
-    # Engines bind the process-wide event log when the catalog builds
-    # them, so the selector must watch that same log (a private one
-    # would never see the served DUEs).
-    event_log = obs_events.get_event_log()
-    event_log.clear()
-    selector = AdaptiveCodeSelector(event_log=event_log, registry=registry)
-    service = RecoveryService(
-        port=0, registry=registry, event_log=event_log, selector=selector
-    )
+    # The selector watches the process event log, the one the catalog
+    # engines record the served DUEs to.
+    selector = AdaptiveCodeSelector()
+    service = RecoveryService(port=0, selector=selector)
     with service:
         service.catalog.preload([CONTEXT])
         result = run_load(

@@ -10,7 +10,10 @@ and asserts, exiting nonzero on any violation:
   calling :meth:`SwdEcc.recover` on the same words;
 - ``/metrics`` parses with the strict round-trip parser
   (:func:`repro.obs.promtext.parse_exposition`) and carries the
-  ``service_*`` families with counts consistent with the load;
+  ``service_*`` families with counts consistent with the load, next to
+  the engines' ``swdecc_*``, ``ops_*`` and ``decode_table_*`` families
+  and the collector-derived ``energy_*`` and cache-hit-rate gauges;
+- ``/events`` returns one DUE event per engine recovery;
 - the overload path verifiably degrades: with a gated executor and a
   one-word queue, an extra request answers ``detect-only`` with
   ``reason: overload`` (and the parked work still completes);
@@ -19,6 +22,10 @@ and asserts, exiting nonzero on any violation:
   nothing (the parent's strict-parsed ``service_recoveries_total``
   equals exactly the words sent), the shard respawns, and the
   per-shard gauges are present on ``/metrics``.
+
+Each check builds its service under an empty process registry and
+event log, which the service, its engines and the collectors all
+record to.
 
 Run from the repository root:
 ``PYTHONPATH=src python scripts/service_smoke.py``.
@@ -36,9 +43,9 @@ from repro.core.sideinfo import RecoveryContext
 from repro.core.swdecc import SwdEcc, TieBreak
 from repro.ecc import canonical_secded_39_32
 from repro.errors import ReproError
+from repro.obs import events as obs_events
+from repro.obs import metrics as obs_metrics
 from repro.obs import promtext
-from repro.obs.events import EventLog
-from repro.obs.metrics import MetricsRegistry
 from repro.program.stats import FrequencyTable
 from repro.program.synth import synthesize_benchmark
 from repro.service import RecoveryService
@@ -65,10 +72,7 @@ def post(url: str, payload: dict) -> dict:
 def check_load_and_metrics(failures: list[str]) -> None:
     """Closed-loop load + strict /metrics validation + bit-identity."""
     words = generate_due_words()
-    registry = MetricsRegistry()
-    service = RecoveryService(
-        port=0, registry=registry, event_log=EventLog()
-    )
+    service = RecoveryService(port=0)
     with service:
         service.catalog.preload([CONTEXT])
         result = run_load(
@@ -87,6 +91,10 @@ def check_load_and_metrics(failures: list[str]) -> None:
             families = promtext.parse_exposition(
                 response.read().decode("utf-8")
             )
+        with urllib.request.urlopen(
+            service.url + "/events", timeout=15
+        ) as response:
+            events = response.read().decode("utf-8").splitlines()
 
     expected_words = CLIENTS * REQUESTS * WORDS_PER_REQUEST
     if result.http_errors:
@@ -103,9 +111,22 @@ def check_load_and_metrics(failures: list[str]) -> None:
 
     for family in ("service_requests", "service_recoveries",
                    "service_batches", "service_batch_words",
-                   "service_request_seconds", "service_queue_depth"):
+                   "service_request_seconds", "service_queue_depth",
+                   "swdecc_recoveries", "ops_xor", "decode_table_builds",
+                   "energy_joules_total", "service_result_cache_hit_rate"):
         if family not in families:
             failures.append(f"/metrics is missing {family}")
+    engine_metric = families.get("swdecc_recoveries")
+    engine_recoveries = (
+        engine_metric.sample_value("_total") if engine_metric else None
+    )
+    if engine_recoveries is not None and (
+        not engine_recoveries or len(events) != engine_recoveries
+    ):
+        failures.append(
+            f"/events returned {len(events)} lines for "
+            f"swdecc_recoveries_total {engine_recoveries}"
+        )
     recovered_metric = families.get("service_recoveries")
     if recovered_metric is not None:
         total = recovered_metric.sample_value("_total")
@@ -143,7 +164,7 @@ def check_load_and_metrics(failures: list[str]) -> None:
         f"service smoke: {result.words} words at "
         f"{result.throughput_words_per_s:.0f}/s, "
         f"p99 {result.latency_ms(0.99):.2f} ms, "
-        f"{len(families)} metric families"
+        f"{len(families)} metric families, {len(events)} events"
     )
 
 
@@ -152,8 +173,6 @@ def check_overload_degrades(failures: list[str]) -> None:
     gate = threading.Event()
     service = RecoveryService(
         port=0,
-        registry=MetricsRegistry(),
-        event_log=EventLog(),
         max_batch=1,
         queue_limit=1,
         overload_policy="degrade",
@@ -210,10 +229,7 @@ def check_worker_kill_respawn(failures: list[str]) -> None:
     import signal
 
     words = generate_due_words()
-    registry = MetricsRegistry()
-    service = RecoveryService(
-        port=0, workers=2, registry=registry, event_log=EventLog()
-    )
+    service = RecoveryService(port=0, workers=2)
     service.catalog.preload([CONTEXT])
     sent = 0
     with service:
@@ -349,9 +365,13 @@ def check_worker_kill_respawn(failures: list[str]) -> None:
 
 def main() -> int:
     failures: list[str] = []
-    check_load_and_metrics(failures)
-    check_overload_degrades(failures)
-    check_worker_kill_respawn(failures)
+    for check in (check_load_and_metrics, check_overload_degrades,
+                  check_worker_kill_respawn):
+        # Components record to the registry and log current when they
+        # are built: each check's service starts from empty ones.
+        obs_metrics.set_registry(obs_metrics.MetricsRegistry())
+        obs_events.set_event_log(obs_events.EventLog())
+        check(failures)
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     if not failures:

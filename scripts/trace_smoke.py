@@ -34,8 +34,6 @@ import urllib.request
 
 from repro.obs import promtext
 from repro.obs import trace as obs_trace
-from repro.obs.events import EventLog
-from repro.obs.metrics import MetricsRegistry
 from repro.service import RecoveryService
 from repro.service.loadgen import generate_due_words
 
@@ -150,10 +148,7 @@ def check_service(workers: int, words: list[int]) -> list[str]:
     """Run every check against a traced service with *workers* shards."""
     failures: list[str] = []
     collector = obs_trace.enable_tracing(obs_trace.SpanCollector())
-    service = RecoveryService(
-        port=0, workers=workers, max_batch=8,
-        registry=MetricsRegistry(), event_log=EventLog(),
-    )
+    service = RecoveryService(port=0, workers=workers, max_batch=8)
     service.catalog.preload([CONTEXT])
     try:
         with service:

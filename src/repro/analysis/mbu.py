@@ -277,9 +277,10 @@ def run_mbu_trial(arm: str, config: MbuConfig) -> MbuOutcome:
 
     selector: AdaptiveCodeSelector | None = None
     event_log = obs_events.EventLog()
-    # Engines capture the event log at construction: swap in a private
-    # log *before* building any region pipeline so their DUEs land here
-    # (and concurrent trials in one process don't cross-talk).
+    # Engines and the selector capture the event log at construction:
+    # swap in a private log *before* building any region pipeline so
+    # their DUEs land here and the selector watches them (and
+    # concurrent trials in one process don't cross-talk).
     previous_log = obs_events.set_event_log(event_log)
     model = obs_energy.get_energy_model()
     try:
@@ -298,7 +299,6 @@ def run_mbu_trial(arm: str, config: MbuConfig) -> MbuOutcome:
         ]
         if arm == "adaptive":
             selector = AdaptiveCodeSelector(
-                event_log=event_log,
                 base_code=secded,
                 upgrade_code=daec,
                 policy=SelectorPolicy(

@@ -40,10 +40,10 @@ __all__ = ["SweepProgress"]
 class SweepProgress:
     """Fold chunk completions into progress metrics and an ETA.
 
+    Updates the process registry current at construction.
+
     Parameters
     ----------
-    registry:
-        Metrics registry to update (default: the process registry).
     stream:
         Optional text stream for a live one-line progress display.
     unit:
@@ -51,14 +51,9 @@ class SweepProgress:
     """
 
     def __init__(
-        self,
-        registry: obs_metrics.MetricsRegistry | None = None,
-        stream: TextIO | None = None,
-        unit: str = "patterns",
+        self, stream: TextIO | None = None, unit: str = "patterns"
     ) -> None:
-        registry = (
-            registry if registry is not None else obs_metrics.get_registry()
-        )
+        registry = obs_metrics.get_registry()
         self._g_done = registry.gauge(
             "sweep.progress.patterns_done",
             help="Sweep units completed so far (live; advances per chunk)",

@@ -15,7 +15,17 @@ on a daemon thread so a long sweep can be watched *while it runs*:
 - ``GET /traces?limit=N`` — the slowest retained request traces
   (full span trees, slowest first), from the collector's bounded
   slow-request buffer.  Same ``limit`` validation as ``/events``.
-- ``GET /healthz`` — liveness probe.
+- ``GET /healthz`` — liveness probe (:meth:`ObsServer.healthz`).
+
+Every endpoint reads the process's current registry, event log and
+span collector: components record to the ones that were current when
+they were built, so tests and embedders swap in private ones with
+:func:`~repro.obs.metrics.set_registry` and
+:func:`~repro.obs.events.set_event_log` *before* building anything.
+
+Subclasses add routes through :attr:`ObsServer.handler_class` and
+report their own state from :meth:`ObsServer.healthz`; the recovery
+service (:class:`repro.service.server.RecoveryService`) is one.
 
 The server binds ``127.0.0.1`` by default (observability data includes
 memory contents; do not expose it beyond the host without a reason) and
@@ -38,14 +48,15 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import promtext
 from repro.obs import trace as obs_trace
 
-__all__ = ["ObsServer", "dispatch_get"]
+__all__ = ["ObsServer"]
 
 _log = logging.getLogger("repro.obs.server")
 _log.addHandler(logging.NullHandler())
 
 
 class _ObsRequestHandler(BaseHTTPRequestHandler):
-    """Routes GET requests to the owning :class:`ObsServer`."""
+    """Routes GET requests to the shared endpoints of the owning
+    :class:`ObsServer` (``self.server.obs``)."""
 
     server_version = "repro-obs/1.0"
     # Keep scrape round-trips off the Nagle/delayed-ACK path.
@@ -67,11 +78,19 @@ class _ObsRequestHandler(BaseHTTPRequestHandler):
         except Exception as error:  # pragma: no cover - defensive
             self._reply(500, "text/plain; charset=utf-8", f"{error}\n")
 
-    def _reply(self, status: int, content_type: str, body: str) -> None:
+    def _reply(
+        self,
+        status: int,
+        content_type: str,
+        body: str,
+        headers: dict[str, str] | None = None,
+    ) -> None:
         payload = body.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(payload)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(payload)
 
@@ -81,16 +100,17 @@ class _ObsRequestHandler(BaseHTTPRequestHandler):
 
 
 def _endpoint_metrics(obs: "ObsServer", query) -> tuple[int, str, str]:
-    return 200, promtext.CONTENT_TYPE, promtext.render(obs.registry)
+    return 200, promtext.CONTENT_TYPE, promtext.render()
 
 
 def _endpoint_metrics_json(obs: "ObsServer", query) -> tuple[int, str, str]:
-    body = json.dumps(obs.registry.as_dict(), sort_keys=True, indent=2)
+    registry = obs_metrics.get_registry()
+    body = json.dumps(registry.as_dict(), sort_keys=True, indent=2)
     return 200, "application/json", body + "\n"
 
 
 def _endpoint_events(obs: "ObsServer", query) -> tuple[int, str, str]:
-    events = obs.event_log.events()
+    events = obs_events.get_event_log().events()
     limit, error = _parse_limit(query)
     if error is not None:
         return 400, "application/json", error
@@ -159,7 +179,7 @@ def _endpoint_traces(obs: "ObsServer", query) -> tuple[int, str, str]:
 
 
 def _endpoint_healthz(obs: "ObsServer", query) -> tuple[int, str, str]:
-    return 200, "application/json", '{"status": "ok"}\n'
+    return obs.healthz()
 
 
 _ROUTES = {
@@ -172,20 +192,6 @@ _ROUTES = {
 }
 
 
-def dispatch_get(owner, path: str, query) -> tuple[int, str, str] | None:
-    """Route a GET to the shared observability endpoints.
-
-    *owner* only needs ``registry`` and ``event_log`` properties, so
-    other HTTP frontends (the recovery service) can mount the same
-    ``/metrics``-family endpoints without duplicating them.  Returns
-    ``(status, content type, body)``, or ``None`` for unknown paths.
-    """
-    route = _ROUTES.get(path)
-    if route is None:
-        return None
-    return route(owner, query)
-
-
 class ObsServer:
     """Serve the process's observability state over HTTP.
 
@@ -196,39 +202,17 @@ class ObsServer:
     port:
         TCP port; 0 picks an ephemeral port (read :attr:`port` after
         :meth:`start`).
-    registry / event_log:
-        Override the process-wide defaults (tests use private ones).
     """
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 9100,
-        registry: obs_metrics.MetricsRegistry | None = None,
-        event_log: obs_events.EventLog | None = None,
-    ) -> None:
+    #: Handler class bound at :meth:`start`; subclasses that serve more
+    #: routes extend :class:`_ObsRequestHandler`.
+    handler_class: type[_ObsRequestHandler] = _ObsRequestHandler
+
+    def __init__(self, host: str = "127.0.0.1", port: int = 9100) -> None:
         self._host = host
         self._requested_port = port
-        self._registry = registry
-        self._event_log = event_log
         self._httpd: ThreadingHTTPServer | None = None
         self._thread: Thread | None = None
-
-    @property
-    def registry(self) -> obs_metrics.MetricsRegistry:
-        """The registry served (resolved per request when defaulted)."""
-        return (
-            self._registry if self._registry is not None
-            else obs_metrics.get_registry()
-        )
-
-    @property
-    def event_log(self) -> obs_events.EventLog:
-        """The event log served (resolved per request when defaulted)."""
-        return (
-            self._event_log if self._event_log is not None
-            else obs_events.get_event_log()
-        )
 
     @property
     def running(self) -> bool:
@@ -247,12 +231,17 @@ class ObsServer:
         """Base URL of the running server."""
         return f"http://{self._host}:{self.port}"
 
+    def healthz(self) -> tuple[int, str, str]:
+        """``GET /healthz`` as (status, content type, body); subclasses
+        report their own state."""
+        return 200, "application/json", '{"status": "ok"}\n'
+
     def start(self) -> "ObsServer":
         """Bind and serve on a daemon thread; returns ``self``."""
         if self._httpd is not None:
             raise ObservabilityError("ObsServer is already running")
         httpd = ThreadingHTTPServer(
-            (self._host, self._requested_port), _ObsRequestHandler
+            (self._host, self._requested_port), self.handler_class
         )
         httpd.daemon_threads = True
         httpd.obs = self  # type: ignore[attr-defined]
@@ -263,7 +252,7 @@ class ObsServer:
             daemon=True,
         )
         self._thread.start()
-        _log.info("obs server listening on %s", self.url)
+        _log.info("%s listening on %s", type(self).__name__, self.url)
         return self
 
     def stop(self) -> None:

@@ -11,8 +11,8 @@ turns the offline engine into that long-lived service:
   explicit backpressure, single-queue or sharded-router flavours.
 - :mod:`repro.service.shards` — pre-forked worker-process shards
   (the batch engine, placement hash, and respawn policy).
-- :mod:`repro.service.server` — the HTTP frontend, sharing the
-  observability endpoints with :mod:`repro.obs.server`.
+- :mod:`repro.service.server` — the HTTP frontend, a
+  :class:`repro.obs.server.ObsServer` that adds the recovery routes.
 """
 
 from repro.service.api import (

@@ -107,15 +107,14 @@ class RecoveryBatcher:
     queue_limit:
         Maximum words queued (not yet executing).  ``submit`` beyond
         this raises :class:`ServiceOverloadError` — never buffers.
-    registry:
-        Metrics registry (default: the process registry).  Exposes
-        ``<prefix>.queue_depth``, ``<prefix>.batch_words``,
-        ``<prefix>.batch_seconds``, ``<prefix>.batches``, and
-        ``<prefix>.overloads``.
     metric_prefix:
-        Namespace for this batcher's metrics (default ``service``).
-        :class:`ShardedBatcher` uses ``service.shard.<i>`` so each
-        shard queue is individually observable.
+        Namespace for this batcher's metrics (default ``service``):
+        ``<prefix>.queue_depth``, ``<prefix>.batch_words``,
+        ``<prefix>.batch_seconds``, ``<prefix>.batches`` and
+        ``<prefix>.overloads``, in the process registry current at
+        construction.  :class:`ShardedBatcher` uses
+        ``service.shard.<i>`` so each shard queue is individually
+        observable.
     """
 
     def __init__(
@@ -123,7 +122,6 @@ class RecoveryBatcher:
         execute: BatchExecutor,
         max_batch: int = 256,
         queue_limit: int = 4096,
-        registry: obs_metrics.MetricsRegistry | None = None,
         metric_prefix: str = "service",
     ) -> None:
         if max_batch < 1:
@@ -140,9 +138,7 @@ class RecoveryBatcher:
         self._stop = False
         self._thread: Thread | None = None
         self._seconds_per_word = _INITIAL_SECONDS_PER_WORD
-        registry = (
-            registry if registry is not None else obs_metrics.get_registry()
-        )
+        registry = obs_metrics.get_registry()
         self._g_depth = registry.gauge(
             f"{metric_prefix}.queue_depth",
             help="Words queued for recovery (bounded by the queue limit)",
@@ -429,7 +425,6 @@ class ShardedBatcher:
         pool: ShardPool,
         max_batch: int = 256,
         queue_limit: int = 4096,
-        registry: obs_metrics.MetricsRegistry | None = None,
     ) -> None:
         if queue_limit < pool.workers:
             raise ServiceError(
@@ -443,7 +438,6 @@ class ShardedBatcher:
                 partial(pool.execute, index),
                 max_batch=max_batch,
                 queue_limit=per_shard_limit,
-                registry=registry,
                 metric_prefix=f"service.shard.{index}",
             )
             for index in range(pool.workers)

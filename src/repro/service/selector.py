@@ -118,13 +118,15 @@ class CodeSwitch:
 class AdaptiveCodeSelector:
     """Watch DUE events and pick per-region codes with hysteresis.
 
+    It polls the process's bounded DUE event log and records its
+    ``selector.*`` families to the process registry, both as current
+    at construction — the same log the catalog engines record to.
+    Polling is non-destructive: the selector tracks how many events it
+    has seen via ``total_recorded`` and only ingests the tail, so
+    ``/events`` consumers are unaffected.
+
     Parameters
     ----------
-    event_log:
-        The bounded DUE log to poll (default: the process-wide one).
-        Polling is non-destructive — the selector tracks how many
-        events it has seen via ``total_recorded`` and only ingests the
-        tail, so ``/events`` consumers are unaffected.
     base_code / upgrade_code:
         The two codes a region can run, with their catalog ids.  DUEs
         are classified against the *region's current* code: its width
@@ -132,9 +134,6 @@ class AdaptiveCodeSelector:
         syndrome set defines "consistent with an adjacent double".
     policy:
         The hysteresis parameters (:class:`SelectorPolicy`).
-    registry:
-        Metrics registry for the ``selector.*`` families (default: the
-        process-wide one).
     on_switch:
         Callback invoked with each :class:`CodeSwitch` as it is
         decided, while the selector lock is held — keep it short.
@@ -142,13 +141,11 @@ class AdaptiveCodeSelector:
 
     def __init__(
         self,
-        event_log: obs_events.EventLog | None = None,
         base_code: LinearBlockCode | None = None,
         upgrade_code: LinearBlockCode | None = None,
         base_code_id: str = "secded-39-32",
         upgrade_code_id: str = "daec-41-32",
         policy: SelectorPolicy | None = None,
-        registry: obs_metrics.MetricsRegistry | None = None,
         on_switch: Callable[[CodeSwitch], None] | None = None,
     ) -> None:
         if base_code is None:
@@ -159,9 +156,7 @@ class AdaptiveCodeSelector:
             from repro.ecc.daec import daec_code
 
             upgrade_code = daec_code()
-        self._log = (
-            event_log if event_log is not None else obs_events.get_event_log()
-        )
+        self._log = obs_events.get_event_log()
         self._policy = policy if policy is not None else SelectorPolicy()
         self._codes: dict[str, LinearBlockCode] = {
             base_code_id: base_code,
@@ -182,52 +177,50 @@ class AdaptiveCodeSelector:
         self._assignments: dict[int, str] = {}
         self._windows: dict[int, deque[bool]] = {}
 
-        resolved = (
-            registry if registry is not None else obs_metrics.get_registry()
-        )
-        self._c_polls = resolved.counter(
+        registry = obs_metrics.get_registry()
+        self._c_polls = registry.counter(
             "selector.polls", help="Event-log polls by the adaptive selector"
         )
-        self._c_samples = resolved.counter(
+        self._c_samples = registry.counter(
             "selector.samples", help="DUE events classified by the selector"
         )
-        self._c_adjacent = resolved.counter(
+        self._c_adjacent = registry.counter(
             "selector.adjacent_samples",
             help="DUEs whose syndrome was adjacent-consistent for their "
             "region's current code",
         )
-        self._c_mismatches = resolved.counter(
+        self._c_mismatches = registry.counter(
             "selector.width_mismatches",
             help="DUEs skipped because the word did not fit the region's "
             "current code",
         )
-        self._c_evicted = resolved.counter(
+        self._c_evicted = registry.counter(
             "selector.evicted_events",
             help="Events that left the bounded log before a poll saw them",
         )
-        self._c_switches = resolved.counter(
+        self._c_switches = registry.counter(
             "selector.switches", help="Per-region code switches decided"
         )
-        self._c_upgrades = resolved.counter(
+        self._c_upgrades = registry.counter(
             "selector.upgrades", help="Base -> DAEC region upgrades"
         )
-        self._c_downgrades = resolved.counter(
+        self._c_downgrades = registry.counter(
             "selector.downgrades", help="DAEC -> base region downgrades"
         )
-        self._g_regions_observed = resolved.gauge(
+        self._g_regions_observed = registry.gauge(
             "selector.regions_observed",
             help="Regions with at least one classified DUE",
         )
-        self._g_regions_upgraded = resolved.gauge(
+        self._g_regions_upgraded = registry.gauge(
             "selector.regions_upgraded",
             help="Regions currently assigned the DAEC code",
         )
-        self._g_fraction = resolved.gauge(
+        self._g_fraction = registry.gauge(
             "selector.adjacent_fraction",
             help="Adjacent-consistent fraction over all regions' current "
             "windows",
         )
-        resolved.info(
+        registry.info(
             "selector.config",
             help="Adaptive-selector configuration",
         ).set(

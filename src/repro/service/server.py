@@ -8,11 +8,12 @@ process:
 - ``POST /recover`` — one received word; returns the ranked recovery
   targets (or a detect-only payload under overload/timeout).
 - ``POST /recover/batch`` — many words under one (code, context).
-- ``GET /healthz`` — liveness plus queue/overload state.
-- ``GET /metrics`` (and ``/metrics.json``, ``/events``, ``/spans``) —
-  the shared observability endpoints, mounted from
-  :mod:`repro.obs.server`, so one scrape sees ``service.*`` next to
-  ``swdecc.*``.
+- ``GET /healthz`` — liveness plus queue/overload/shard state.
+- ``GET /metrics`` (and ``/metrics.json``, ``/events``, ``/spans``,
+  ``/traces``) — the shared observability endpoints: the service *is*
+  an :class:`~repro.obs.server.ObsServer`, and every component records
+  to the process's registry and event log, so one scrape sees
+  ``service.*`` next to ``swdecc.*``, ``ops.*`` and ``energy.*``.
 
 Requests flow through a :class:`~repro.service.batcher.RecoveryBatcher`
 (bounded queue, micro-batching) and are executed against
@@ -35,29 +36,25 @@ requeued once; if that fails too, the request degrades or 429s under
 the same policy, and ``/healthz`` turns non-200 naming the unhealthy
 shards until they are back.
 
-Built on the same stdlib :class:`~http.server.ThreadingHTTPServer`
-daemon-thread pattern as :class:`repro.obs.server.ObsServer`; binds
-loopback by default and supports ``port=0`` for tests.
+It reuses :class:`~repro.obs.server.ObsServer`'s stdlib
+:class:`~http.server.ThreadingHTTPServer` lifecycle; binds loopback by
+default and supports ``port=0`` for tests.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import math
 import time
 from collections.abc import Callable
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from threading import Thread
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import urlparse
 
 from repro.errors import (
     ServiceError,
     ServiceOverloadError,
     ShardFailureError,
 )
-from repro.obs import events as obs_events
 from repro.obs import logging as obs_logging
 from repro.obs import metrics as obs_metrics
 from repro.obs import server as obs_server
@@ -69,9 +66,6 @@ from repro.service.selector import AdaptiveCodeSelector
 from repro.service.shards import BatchEngine, ShardPool, ShardSpec
 
 __all__ = ["RecoveryService"]
-
-_log = logging.getLogger("repro.service.server")
-_log.addHandler(logging.NullHandler())
 
 #: Reject request bodies beyond this size outright (DoS hygiene; a
 #: maximal legal batch is far smaller).
@@ -177,8 +171,9 @@ class _RequestTrace:
         collector.record_trace(spans, root_id, self.remote_parent_id)
 
 
-class _RecoveryRequestHandler(BaseHTTPRequestHandler):
-    """Routes requests to the owning :class:`RecoveryService`."""
+class _RecoveryRequestHandler(obs_server._ObsRequestHandler):
+    """The shared GET endpoints plus ``POST /recover[/batch]``, routed
+    to the owning :class:`RecoveryService`."""
 
     server_version = "repro-recovery/1.0"
     protocol_version = "HTTP/1.1"
@@ -186,34 +181,15 @@ class _RecoveryRequestHandler(BaseHTTPRequestHandler):
     # the Nagle/delayed-ACK interaction (~40 ms per round-trip).
     disable_nagle_algorithm = True
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server naming
-        service: RecoveryService = self.server.service  # type: ignore[attr-defined]
-        url = urlparse(self.path)
-        try:
-            if url.path == "/healthz":
-                status, content_type, body = service.healthz_endpoint()
-            else:
-                routed = obs_server.dispatch_get(
-                    service, url.path, parse_qs(url.query)
-                )
-                if routed is None:
-                    self._reply(404, "text/plain; charset=utf-8",
-                                f"no such endpoint: {url.path}\n")
-                    return
-                status, content_type, body = routed
-            self._reply(status, content_type, body)
-        except BrokenPipeError:  # pragma: no cover - client went away
-            pass
-        except Exception as error:  # pragma: no cover - defensive
-            self._reply(500, "text/plain; charset=utf-8", f"{error}\n")
-
     def do_POST(self) -> None:  # noqa: N802 - http.server naming
-        service: RecoveryService = self.server.service  # type: ignore[attr-defined]
+        service: RecoveryService = self.server.obs  # type: ignore[attr-defined]
         url = urlparse(self.path)
         if url.path not in ("/recover", "/recover/batch"):
+            # The body stays unread: close the connection rather than
+            # parse it as the next request.
             self._reply(404, "application/json",
                         json.dumps({"error": f"no such endpoint: {url.path}"})
-                        + "\n")
+                        + "\n", {"Connection": "close"})
             return
         trace = service.trace_ingress(self.headers.get("traceparent"))
         try:
@@ -240,6 +216,8 @@ class _RecoveryRequestHandler(BaseHTTPRequestHandler):
                     json.dumps({"error": str(error)}, sort_keys=True) + "\n"
                 )
             headers = {**headers, "traceparent": trace.traceparent}
+            if self.close_connection:
+                headers["Connection"] = "close"
             respond_start_ns = time.perf_counter_ns()
             try:
                 self._reply(status, "application/json", body, headers)
@@ -252,41 +230,35 @@ class _RecoveryRequestHandler(BaseHTTPRequestHandler):
             trace.finish()
 
     def _read_body(self) -> bytes:
+        # On every error below, whatever body was sent stays unread:
+        # close the connection rather than parse it as the next request.
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
+            self.close_connection = True
             raise ServiceError("bad Content-Length header")
         if length <= 0:
+            self.close_connection = True
             raise ServiceError("request needs a JSON body")
         if length > _MAX_BODY_BYTES:
+            self.close_connection = True
             raise ServiceError(
                 f"request body of {length} bytes exceeds the "
                 f"{_MAX_BODY_BYTES}-byte limit"
             )
         return self.rfile.read(length)
 
-    def _reply(
-        self,
-        status: int,
-        content_type: str,
-        body: str,
-        headers: dict[str, str] | None = None,
-    ) -> None:
-        payload = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(payload)
 
-    def log_message(self, format: str, *args: object) -> None:
-        _log.debug("%s %s", self.address_string(), format % args)
-
-
-class RecoveryService:
+class RecoveryService(obs_server.ObsServer):
     """Serve batched DUE recovery over HTTP.
+
+    An :class:`~repro.obs.server.ObsServer` whose handler adds the
+    ``POST`` routes and whose :meth:`healthz` reports queue and shard
+    state.  Like every instrumented component it records to the
+    process's registry and event log as of construction (swap them
+    with :func:`~repro.obs.metrics.set_registry` and
+    :func:`~repro.obs.events.set_event_log` before building it); the
+    catalog engines bind theirs when the first request builds them.
 
     Parameters
     ----------
@@ -317,8 +289,6 @@ class RecoveryService:
         the block reveals how much work each word cost, which callers
         do not usually need.  Batch-level ``service.batch_ops`` /
         ``service.batch_joules`` histograms are recorded regardless.
-    registry / event_log:
-        Observability overrides (tests use private ones).
     selector:
         Optional :class:`~repro.service.selector.AdaptiveCodeSelector`
         polled after each served request, so its ``selector.*``
@@ -326,6 +296,8 @@ class RecoveryService:
         ids are never rewritten, so served answers remain bit-identical
         to serial engines.
     """
+
+    handler_class = _RecoveryRequestHandler
 
     def __init__(
         self,
@@ -338,8 +310,6 @@ class RecoveryService:
         overload_policy: str = "degrade",
         default_timeout_s: float = 2.0,
         report_cost: bool = False,
-        registry: obs_metrics.MetricsRegistry | None = None,
-        event_log: obs_events.EventLog | None = None,
         selector: "AdaptiveCodeSelector | None" = None,
     ) -> None:
         if overload_policy not in ("degrade", "reject"):
@@ -353,113 +323,68 @@ class RecoveryService:
             )
         if workers < 0:
             raise ServiceError(f"workers must be >= 0, got {workers}")
+        super().__init__(host, port)
         self._catalog = catalog if catalog is not None else ServiceCatalog()
-        self._host = host
-        self._requested_port = port
         self._max_batch = max_batch
         self._queue_limit = queue_limit
         self._workers = workers
         self._overload_policy = overload_policy
         self._default_timeout_s = default_timeout_s
         self._report_cost = report_cost
-        self._registry = registry
-        self._event_log = event_log
         self._selector = selector
-        self._httpd: ThreadingHTTPServer | None = None
-        self._thread: Thread | None = None
         self._pool: ShardPool | None = None
-        resolved = self.registry
         self._batcher: RecoveryBatcher | ShardedBatcher | None = None
         self._engine: BatchEngine | None = None
         if workers == 0:
             # In-process mode: the batcher's worker thread is the
             # single consumer of one BatchEngine's catalog engines.
             self._engine = BatchEngine(
-                self._catalog,
-                registry=resolved,
-                report_cost=report_cost,
+                self._catalog, report_cost=report_cost
             )
             self._batcher = RecoveryBatcher(
                 self._engine.execute,
                 max_batch=max_batch,
                 queue_limit=queue_limit,
-                registry=resolved,
             )
         # workers >= 1: the pool and sharded batcher are built in
         # start(), after registrations settle and before any server
         # thread exists (forking from a threaded parent is how stdlib
         # locks end up held forever in the child).
-        self._c_requests = resolved.counter(
+        registry = obs_metrics.get_registry()
+        self._c_requests = registry.counter(
             "service.requests", help="Recovery requests received"
         )
-        self._c_degraded = resolved.counter(
+        self._c_degraded = registry.counter(
             "service.degraded",
             help="Requests answered detect-only (overload or timeout)",
         )
-        self._c_rejections = resolved.counter(
+        self._c_rejections = registry.counter(
             "service.rejections",
             help="Requests rejected with 429 under the reject policy",
         )
-        self._c_timeouts = resolved.counter(
+        self._c_timeouts = registry.counter(
             "service.timeouts",
             help="Requests that timed out waiting for their batch",
         )
-        self._h_request_seconds = resolved.histogram(
+        self._h_request_seconds = registry.histogram(
             "service.request_seconds",
             help="End-to-end request latency (parse to response body)",
         )
         # The HTTP-layer halves of the per-request stage decomposition
         # (the batcher owns queue_wait / shard_exec).
-        self._h_stage_serialize = resolved.histogram(
+        self._h_stage_serialize = registry.histogram(
             "service.stage.serialize",
             help="Per request: response-body construction "
             "(fragment splice / degradation payload)",
         )
-        self._h_stage_respond = resolved.histogram(
+        self._h_stage_respond = registry.histogram(
             "service.stage.respond",
             help="Per request: writing the HTTP response to the socket",
         )
 
     # ------------------------------------------------------------------
-    # Shared-observability owner protocol (see repro.obs.server)
-    # ------------------------------------------------------------------
-
-    @property
-    def registry(self) -> obs_metrics.MetricsRegistry:
-        """The registry served and instrumented (default: process-wide)."""
-        return (
-            self._registry if self._registry is not None
-            else obs_metrics.get_registry()
-        )
-
-    @property
-    def event_log(self) -> obs_events.EventLog:
-        """The event log served (default: process-wide)."""
-        return (
-            self._event_log if self._event_log is not None
-            else obs_events.get_event_log()
-        )
-
-    # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-
-    @property
-    def running(self) -> bool:
-        """True between :meth:`start` and :meth:`stop`."""
-        return self._httpd is not None
-
-    @property
-    def port(self) -> int:
-        """The bound TCP port (resolves port 0 after :meth:`start`)."""
-        if self._httpd is not None:
-            return self._httpd.server_address[1]
-        return self._requested_port
-
-    @property
-    def url(self) -> str:
-        """Base URL of the running server."""
-        return f"http://{self._host}:{self.port}"
 
     @property
     def catalog(self) -> ServiceCatalog:
@@ -495,67 +420,49 @@ class RecoveryService:
         return self._pool
 
     def start(self) -> "RecoveryService":
-        """Fork shards (if any), bind, and serve on a daemon thread.
+        """Fork shards (if any), start the batcher, then bind and serve.
 
         Strictly ordered: shard processes fork and pre-warm *before*
         the batcher worker and HTTP threads exist, so every fork
-        happens from an effectively single-threaded parent.
+        happens from an effectively single-threaded parent.  A step
+        that fails (a busy port, a shard that cannot start) undoes the
+        steps before it and re-raises, so nothing is left running.
         """
-        if self._httpd is not None:
+        if self.running:
             raise ServiceError("RecoveryService is already running")
-        if self._workers >= 1:
-            spec = ShardSpec.from_catalog(
-                self._catalog,
-                preload=self._catalog.built_benchmark_context_ids(),
-                report_cost=self._report_cost,
-            )
-            # The spec above is the workers' view of the catalog for
-            # the pool's whole lifetime; reject registrations that
-            # could never reach them (thawed again in stop()).
-            self._catalog.freeze(
-                f"{self._workers} shard worker(s) forked with a "
-                "registration snapshot at service start"
-            )
-            self._pool = ShardPool(
-                self._workers, spec, registry=self.registry
-            ).start()
-            self._batcher = ShardedBatcher(
-                self._pool,
-                max_batch=self._max_batch,
-                queue_limit=self._queue_limit,
-                registry=self.registry,
-            )
-        httpd = ThreadingHTTPServer(
-            (self._host, self._requested_port), _RecoveryRequestHandler
-        )
-        httpd.daemon_threads = True
-        httpd.service = self  # type: ignore[attr-defined]
-        assert self._batcher is not None
-        self._batcher.start()
-        self._httpd = httpd
-        self._thread = Thread(
-            target=httpd.serve_forever,
-            name=f"repro-recovery-service:{self.port}",
-            daemon=True,
-        )
-        self._thread.start()
-        _log.info(
-            "recovery service listening on %s (%d shard workers)",
-            self.url, self._workers,
-        )
+        try:
+            if self._workers >= 1:
+                spec = ShardSpec.from_catalog(
+                    self._catalog,
+                    preload=self._catalog.built_benchmark_context_ids(),
+                    report_cost=self._report_cost,
+                )
+                # The spec above is the workers' view of the catalog
+                # for the pool's whole lifetime; reject registrations
+                # that could never reach them (thawed again on stop).
+                self._catalog.freeze(
+                    f"{self._workers} shard worker(s) forked with a "
+                    "registration snapshot at service start"
+                )
+                self._pool = ShardPool(self._workers, spec)
+                self._pool.start()
+                self._batcher = ShardedBatcher(
+                    self._pool,
+                    max_batch=self._max_batch,
+                    queue_limit=self._queue_limit,
+                )
+            assert self._batcher is not None
+            self._batcher.start()
+            super().start()
+        except BaseException:
+            self.stop()
+            raise
         return self
 
     def stop(self) -> None:
         """Stop accepting requests, drain batcher and shards (idempotent)."""
-        httpd, thread = self._httpd, self._thread
-        self._httpd = None
-        self._thread = None
         try:
-            if httpd is not None:
-                httpd.shutdown()
-                httpd.server_close()
-            if thread is not None:
-                thread.join(timeout=5.0)
+            super().stop()
         finally:
             batcher, pool = self._batcher, self._pool
             if self._workers >= 1:
@@ -568,12 +475,6 @@ class RecoveryService:
             finally:
                 if pool is not None:
                     pool.stop()
-
-    def __enter__(self) -> "RecoveryService":
-        return self.start() if not self.running else self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
 
     # ------------------------------------------------------------------
     # Request handling (called from handler threads)
@@ -638,9 +539,10 @@ class RecoveryService:
         self._c_requests.inc()
         try:
             parsed = json.loads(body)
-        except ValueError as error:
-            # JSONDecodeError, or a plain ValueError for an integer
-            # literal past the interpreter's digit limit.
+        except (ValueError, RecursionError) as error:
+            # JSONDecodeError, a plain ValueError for an integer literal
+            # past the interpreter's digit limit, or RecursionError for
+            # nesting deeper than the interpreter's recursion limit.
             raise ServiceError(f"request body is not valid JSON: {error}")
         request = api.RecoveryRequest.from_json(
             parsed, batch=batch,
@@ -800,7 +702,7 @@ class RecoveryService:
         self._c_degraded.inc()
         return 200, self._degraded_body(request, "shard-failure", batch), {}
 
-    def healthz_endpoint(self) -> tuple[int, str, str]:
+    def healthz(self) -> tuple[int, str, str]:
         """Liveness plus queue/overload/shard state for probes.
 
         In-process mode is always 200 while up.  Sharded mode degrades

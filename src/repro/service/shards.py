@@ -134,14 +134,9 @@ class BatchEngine:
     """
 
     def __init__(
-        self,
-        catalog: ServiceCatalog,
-        registry: obs_metrics.MetricsRegistry | None = None,
-        report_cost: bool = False,
+        self, catalog: ServiceCatalog, report_cost: bool = False
     ) -> None:
-        registry = (
-            registry if registry is not None else obs_metrics.get_registry()
-        )
+        registry = obs_metrics.get_registry()
         self._catalog = catalog
         self._report_cost = report_cost
         self._cache: dict[tuple[str, str], dict[int, tuple[bool, str]]] = {}
@@ -315,11 +310,7 @@ def _shard_initializer(spec: ShardSpec) -> None:
         catalog.register_context(context_id, context)
     catalog.preload(list(spec.preload))
     _WORKER = {
-        "engine": BatchEngine(
-            catalog,
-            registry=registry,
-            report_cost=spec.report_cost,
-        ),
+        "engine": BatchEngine(catalog, report_cost=spec.report_cost),
         "registry": registry,
         "event_log": event_log,
         "shipped": {},
@@ -378,28 +369,18 @@ class ShardPool:
     spec:
         The :class:`ShardSpec` every (re)spawned worker initializes
         from.
-    registry / event_log:
-        Where shipped worker metric deltas and event digests are
-        merged (default: the process-wide instances).
+
+    Shipped worker metric deltas and event digests merge into the
+    process registry and event log current at construction, next to
+    the pool's own ``service.shard*`` metrics.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        spec: ShardSpec,
-        registry: obs_metrics.MetricsRegistry | None = None,
-        event_log: obs_events.EventLog | None = None,
-    ) -> None:
+    def __init__(self, workers: int, spec: ShardSpec) -> None:
         if workers < 1:
             raise ServiceError(f"workers must be >= 1, got {workers}")
         self._spec = spec
-        self._registry = (
-            registry if registry is not None else obs_metrics.get_registry()
-        )
-        self._event_log = (
-            event_log if event_log is not None
-            else obs_events.get_event_log()
-        )
+        self._registry = obs_metrics.get_registry()
+        self._event_log = obs_events.get_event_log()
         self._merge_lock = Lock()
         self._shards = [_Shard(index) for index in range(workers)]
         self._g_shards = self._registry.gauge(

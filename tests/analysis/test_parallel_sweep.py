@@ -267,7 +267,7 @@ class TestProgressDuringSweeps:
         registry = obs_metrics.MetricsRegistry()
         saved = obs_metrics.set_registry(registry)
         try:
-            progress = SweepProgress(registry=registry)
+            progress = SweepProgress()
             sweep = DueSweep(
                 code, RecoveryStrategy.FILTER_AND_RANK,
                 num_instructions=WINDOW, patterns=patterns,
@@ -293,7 +293,7 @@ class TestProgressDuringSweeps:
         try:
             from repro.obs.progress import SweepProgress
 
-            progress = SweepProgress(registry=registry)
+            progress = SweepProgress()
             sweep = DueSweep(
                 code, RecoveryStrategy.FILTER_AND_RANK,
                 num_instructions=WINDOW, patterns=patterns,
@@ -309,7 +309,7 @@ class TestProgressDuringSweeps:
             obs_metrics.set_registry(saved)
 
     def test_progress_does_not_change_outcomes(
-        self, code, mcf_image, patterns
+        self, obs_swap, code, mcf_image, patterns
     ):
         from repro.obs.progress import SweepProgress
 
@@ -318,6 +318,6 @@ class TestProgressDuringSweeps:
             code, RecoveryStrategy.FILTER_AND_RANK,
             num_instructions=WINDOW, patterns=patterns,
         )
-        progress = SweepProgress(registry=obs_metrics.MetricsRegistry())
+        progress = SweepProgress()
         tracked = sweep.run(mcf_image, jobs=JOBS, progress=progress)
         assert tracked == plain

@@ -10,23 +10,21 @@ import pytest
 
 from repro.errors import ObservabilityError
 from repro.obs import promtext
-from repro.obs.events import DueEvent, EventLog
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.events import DueEvent
 from repro.obs.server import ObsServer
 
 
 @pytest.fixture()
-def served():
-    """A running server over a private registry and event log."""
-    registry = MetricsRegistry()
+def served(obs_swap):
+    """A running server over a swapped-in registry and event log."""
+    registry, log = obs_swap
     registry.counter("swdecc.recoveries").inc(3)
     registry.gauge("sweep.progress.patterns_done").set(5.0)
-    log = EventLog(capacity=16)
     for index in range(4):
         log.record(DueEvent(received=index, num_candidates=2, num_valid=2,
                             filter_fell_back=False, chosen_message=index,
                             chosen_codeword=index, tied=1, latency_ns=100))
-    server = ObsServer(port=0, registry=registry, event_log=log).start()
+    server = ObsServer(port=0).start()
     try:
         yield server, registry, log
     finally:
@@ -235,14 +233,8 @@ class TestLifecycle:
         assert not server.running
         server.stop()  # no error
 
-    def test_context_manager(self):
-        registry = MetricsRegistry()
-        with ObsServer(port=0, registry=registry) as server:
+    def test_context_manager(self, obs_swap):
+        with ObsServer(port=0) as server:
             status, _, _ = _get(server, "/healthz")
             assert status == 200
         assert not server.running
-
-    def test_defaults_to_process_registry(self):
-        server = ObsServer(port=0)
-        from repro.obs.metrics import get_registry
-        assert server.registry is get_registry()

@@ -8,9 +8,11 @@ import time
 import pytest
 
 from repro.errors import ServiceError, ServiceOverloadError
-from repro.obs.metrics import MetricsRegistry
 from repro.service.api import RecoveryRequest
 from repro.service.batcher import RecoveryBatcher
+
+# Batchers record to the process registry current at construction.
+pytestmark = pytest.mark.usefixtures("obs_swap")
 
 
 def request_of(*words: int) -> RecoveryRequest:
@@ -26,7 +28,7 @@ def echo_executor(requests):
 
 class TestBatching:
     def test_single_request_round_trips(self):
-        with RecoveryBatcher(echo_executor, registry=MetricsRegistry()) as b:
+        with RecoveryBatcher(echo_executor) as b:
             future = b.submit(request_of(1, 2, 3))
             assert future.result(timeout=5.0) == [
                 {"word": 1}, {"word": 2}, {"word": 3},
@@ -44,7 +46,6 @@ class TestBatching:
         batcher = RecoveryBatcher(
             counting_executor,
             max_batch=64,
-            registry=MetricsRegistry(),
         ).start()
         try:
             # The gate stalls the worker on whatever it grabs first, so
@@ -73,7 +74,6 @@ class TestBatching:
         batcher = RecoveryBatcher(
             gated_executor,
             max_batch=4,
-            registry=MetricsRegistry(),
         ).start()
         try:
             first = batcher.submit(request_of(0))  # occupies the worker
@@ -108,7 +108,6 @@ class TestBatching:
         with RecoveryBatcher(
             recording_executor,
             max_batch=2,
-            registry=MetricsRegistry(),
         ) as batcher:
             future = batcher.submit(request_of(*range(10)))
             future.result(timeout=5.0)
@@ -127,7 +126,6 @@ class TestBackpressure:
             blocked_executor,
             max_batch=1,
             queue_limit=4,
-            registry=MetricsRegistry(),
         ).start()
         try:
             first = batcher.submit(request_of(1))  # occupies the worker
@@ -145,8 +143,8 @@ class TestBackpressure:
             batcher.stop()
         assert first.result(timeout=5.0) == [{"word": 1}]
 
-    def test_queue_depth_gauge_tracks_backlog(self):
-        registry = MetricsRegistry()
+    def test_queue_depth_gauge_tracks_backlog(self, obs_swap):
+        registry = obs_swap.registry
         gate = threading.Event()
 
         def blocked_executor(requests):
@@ -157,7 +155,6 @@ class TestBackpressure:
             blocked_executor,
             max_batch=1,
             queue_limit=100,
-            registry=registry,
         ).start()
         try:
             batcher.submit(request_of(1))
@@ -171,8 +168,8 @@ class TestBackpressure:
             batcher.stop()
         assert registry.get("service.queue_depth").value == 0.0
 
-    def test_overload_counter_increments(self):
-        registry = MetricsRegistry()
+    def test_overload_counter_increments(self, obs_swap):
+        registry = obs_swap.registry
         gate = threading.Event()
 
         def blocked_executor(requests):
@@ -183,7 +180,6 @@ class TestBackpressure:
             blocked_executor,
             max_batch=1,
             queue_limit=1,
-            registry=registry,
         ).start()
         try:
             batcher.submit(request_of(1))
@@ -201,7 +197,7 @@ class TestBackpressure:
 
 class TestLifecycle:
     def test_submit_refused_when_not_running(self):
-        batcher = RecoveryBatcher(echo_executor, registry=MetricsRegistry())
+        batcher = RecoveryBatcher(echo_executor)
         with pytest.raises(ServiceError):
             batcher.submit(request_of(1))
 
@@ -215,7 +211,6 @@ class TestLifecycle:
         batcher = RecoveryBatcher(
             slow_executor,
             max_batch=1,
-            registry=MetricsRegistry(),
         ).start()
         futures = [batcher.submit(request_of(i)) for i in range(5)]
         batcher.stop()
@@ -223,7 +218,7 @@ class TestLifecycle:
             assert future.result(timeout=1.0) == [{"word": index}]
 
     def test_double_start_raises(self):
-        batcher = RecoveryBatcher(echo_executor, registry=MetricsRegistry())
+        batcher = RecoveryBatcher(echo_executor)
         batcher.start()
         try:
             with pytest.raises(ServiceError):
@@ -232,7 +227,7 @@ class TestLifecycle:
             batcher.stop()
 
     def test_stop_is_idempotent(self):
-        batcher = RecoveryBatcher(echo_executor, registry=MetricsRegistry())
+        batcher = RecoveryBatcher(echo_executor)
         batcher.start()
         batcher.stop()
         batcher.stop()
@@ -241,9 +236,7 @@ class TestLifecycle:
         def failing_executor(requests):
             raise RuntimeError("engine exploded")
 
-        with RecoveryBatcher(
-            failing_executor, registry=MetricsRegistry()
-        ) as batcher:
+        with RecoveryBatcher(failing_executor) as batcher:
             future = batcher.submit(request_of(1))
             with pytest.raises(RuntimeError, match="engine exploded"):
                 future.result(timeout=5.0)
@@ -252,9 +245,7 @@ class TestLifecycle:
         def lying_executor(requests):
             return []  # wrong arity
 
-        with RecoveryBatcher(
-            lying_executor, registry=MetricsRegistry()
-        ) as batcher:
+        with RecoveryBatcher(lying_executor) as batcher:
             future = batcher.submit(request_of(1))
             with pytest.raises(ServiceError, match="result lists"):
                 future.result(timeout=5.0)
@@ -271,7 +262,6 @@ class TestLifecycle:
         batcher = RecoveryBatcher(
             gated_executor,
             max_batch=1,
-            registry=MetricsRegistry(),
         ).start()
         try:
             batcher.submit(request_of(1))
@@ -296,5 +286,5 @@ class TestValidation:
             RecoveryBatcher(echo_executor, queue_limit=0)
 
     def test_retry_after_hint_is_clamped(self):
-        batcher = RecoveryBatcher(echo_executor, registry=MetricsRegistry())
+        batcher = RecoveryBatcher(echo_executor)
         assert 0.001 <= batcher.retry_after_hint() <= 5.0

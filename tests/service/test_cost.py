@@ -15,8 +15,6 @@ import urllib.request
 
 import pytest
 
-from repro.obs.events import EventLog
-from repro.obs.metrics import MetricsRegistry
 from repro.service import RecoveryService, ServiceCatalog
 from repro.service.catalog import DEFAULT_CODE_ID
 
@@ -39,11 +37,10 @@ def due_word():
 
 
 def _service(**kwargs):
-    return RecoveryService(
-        port=0, registry=MetricsRegistry(), event_log=EventLog(), **kwargs
-    )
+    return RecoveryService(port=0, **kwargs)
 
 
+@pytest.mark.usefixtures("obs_swap")
 class TestCostReporting:
     def test_cost_block_attached_when_enabled(self, due_word):
         with _service(report_cost=True) as svc:
@@ -79,10 +76,10 @@ class TestCostReporting:
         assert status == 200
         assert "cost" not in body
 
-    def test_batch_histograms_recorded_regardless(self, due_word):
+    def test_batch_histograms_recorded_regardless(self, obs_swap, due_word):
         with _service() as svc:
             post(svc.url + "/recover", {"received": due_word})
-            registry = svc.registry
+            registry = obs_swap.registry
             ops = registry.get("service.batch_ops")
             joules = registry.get("service.batch_joules")
             assert ops.count == 1

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.ecc import canonical_secded_39_32
 from repro.ecc.code import DecodeStatus
-from repro.obs.events import EventLog
-from repro.obs.metrics import MetricsRegistry
 from repro.service import RecoveryService
 from repro.service.loadgen import generate_due_words, percentile, run_load
 
@@ -39,12 +39,11 @@ class TestPercentile:
         assert percentile(values, 1.00) == 100.0
 
 
+@pytest.mark.usefixtures("obs_swap")
 class TestRunLoad:
     def test_closed_loop_against_live_service(self):
         words = generate_due_words(count=32, seed=5)
-        service = RecoveryService(
-            port=0, registry=MetricsRegistry(), event_log=EventLog()
-        )
+        service = RecoveryService(port=0)
         with service:
             result = run_load(
                 "127.0.0.1", service.port,
@@ -65,9 +64,7 @@ class TestRunLoad:
         """Each client walks its own slice of the pool, so a pool larger
         than everything sent yields a stream of distinct words."""
         words = generate_due_words(count=64, seed=13)
-        service = RecoveryService(
-            port=0, registry=MetricsRegistry(), event_log=EventLog()
-        )
+        service = RecoveryService(port=0)
         sent: list[int] = []
         real_execute = service._engine.execute
 
@@ -89,9 +86,7 @@ class TestRunLoad:
 
     def test_more_clients_than_words(self):
         words = generate_due_words(count=2, seed=17)
-        service = RecoveryService(
-            port=0, registry=MetricsRegistry(), event_log=EventLog()
-        )
+        service = RecoveryService(port=0)
         with service:
             result = run_load(
                 "127.0.0.1", service.port,
@@ -109,9 +104,7 @@ class TestRunLoad:
 
         words = generate_due_words(count=16, seed=11)
         collector = obs_trace.enable_tracing(obs_trace.SpanCollector())
-        service = RecoveryService(
-            port=0, registry=MetricsRegistry(), event_log=EventLog()
-        )
+        service = RecoveryService(port=0)
         try:
             with service:
                 result = run_load(

@@ -23,8 +23,6 @@ from repro.core.sideinfo import RecoveryContext
 from repro.core.swdecc import SwdEcc, TieBreak
 from repro.ecc import canonical_secded_39_32
 from repro.errors import ReproError
-from repro.obs.events import EventLog
-from repro.obs.metrics import MetricsRegistry
 from repro.program.stats import FrequencyTable
 from repro.program.synth import synthesize_benchmark
 from repro.service import RecoveryService, ServiceCatalog
@@ -39,15 +37,9 @@ CONTEXT_IDS = ("none", "mcf", "bzip2")
 
 
 @pytest.fixture(scope="module")
-def live_service():
+def live_service(module_obs_swap):
     """One service for the whole module; tiny batches force boundaries."""
-    service = RecoveryService(
-        port=0,
-        max_batch=3,
-        registry=MetricsRegistry(),
-        event_log=EventLog(),
-    )
-    with service:
+    with RecoveryService(port=0, max_batch=3) as service:
         yield service
 
 

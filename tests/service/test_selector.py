@@ -7,8 +7,8 @@ import pytest
 from repro.ecc import canonical_secded_39_32, daec_code
 from repro.ecc.daec import adjacent_syndrome_set
 from repro.errors import ServiceError
+from repro.obs import events as obs_events
 from repro.obs.events import DueEvent, EventLog
-from repro.obs.metrics import MetricsRegistry
 from repro.service.selector import (
     AdaptiveCodeSelector,
     CodeSwitch,
@@ -17,6 +17,10 @@ from repro.service.selector import (
 
 SECDED = canonical_secded_39_32()
 DAEC = daec_code()
+
+# Selectors watch the process event log and record to the process
+# registry, both as current at construction.
+pytestmark = pytest.mark.usefixtures("obs_swap")
 
 
 def make_event(received: int, address: int | None = None) -> DueEvent:
@@ -54,16 +58,13 @@ def non_adjacent_dues(code, count: int) -> list[int]:
 
 
 def build(policy=None, **kwargs):
-    log = EventLog()
     selector = AdaptiveCodeSelector(
-        event_log=log,
         base_code=SECDED,
         upgrade_code=DAEC,
         policy=policy or SelectorPolicy(min_samples=4, window=16),
-        registry=MetricsRegistry(),
         **kwargs,
     )
-    return log, selector
+    return obs_events.get_event_log(), selector
 
 
 class TestPolicyValidation:
@@ -185,12 +186,11 @@ class TestBookkeeping:
 
     def test_evicted_events_counted(self):
         log = EventLog(capacity=4)
+        obs_events.set_event_log(log)  # obs_swap restores the process log
         selector = AdaptiveCodeSelector(
-            event_log=log,
             base_code=SECDED,
             upgrade_code=DAEC,
             policy=SelectorPolicy(min_samples=4, window=16),
-            registry=MetricsRegistry(),
         )
         for i in range(10):
             log.record(make_event(adjacent_due(SECDED, i, i % 38)))
@@ -211,15 +211,9 @@ class TestBookkeeping:
         selector.poll()
         assert selector._c_samples.value == 1
 
-    def test_metric_families_registered(self):
-        registry = MetricsRegistry()
-        AdaptiveCodeSelector(
-            event_log=EventLog(),
-            base_code=SECDED,
-            upgrade_code=DAEC,
-            registry=registry,
-        )
-        snapshot = registry.as_dict()
+    def test_metric_families_registered(self, obs_swap):
+        AdaptiveCodeSelector(base_code=SECDED, upgrade_code=DAEC)
+        snapshot = obs_swap.registry.as_dict()
         for name in (
             "selector.polls", "selector.samples",
             "selector.adjacent_samples", "selector.width_mismatches",

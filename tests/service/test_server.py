@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import multiprocessing
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -11,8 +14,6 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.obs import trace as obs_trace
-from repro.obs.events import EventLog
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.promtext import parse_exposition
 from repro.service import RecoveryService, ServiceCatalog
 from repro.service.api import RecoveryRequest
@@ -43,11 +44,8 @@ def get(url: str, timeout: float = 5.0):
 
 
 @pytest.fixture()
-def service():
-    svc = RecoveryService(
-        port=0, registry=MetricsRegistry(), event_log=EventLog()
-    )
-    with svc:
+def service(obs_swap):
+    with RecoveryService(port=0) as svc:
         yield svc
 
 
@@ -169,7 +167,7 @@ class TestRecoverEndpoints:
         ids=["inf", "-inf", "nan", "1e400", "1e300", "10**300"],
     )
     def test_unusable_timeout_is_400(
-        self, service, due_word, timeout_ms, error
+        self, service, obs_swap, due_word, timeout_ms, error
     ):
         status, body, _ = post(
             service.url + "/recover",
@@ -177,7 +175,7 @@ class TestRecoverEndpoints:
         )
         assert status == 400
         assert body["error"].startswith(error)
-        assert service.registry.get("service.timeouts").value == 0
+        assert obs_swap.registry.get("service.timeouts").value == 0
 
     @pytest.mark.parametrize("path", ["/recover", "/recover/batch"])
     def test_integer_past_digit_limit_is_400(self, service, path):
@@ -189,9 +187,40 @@ class TestRecoverEndpoints:
         assert status == 400
         assert body["error"].startswith("request body is not valid JSON")
 
+    @pytest.mark.parametrize("path", ["/recover", "/recover/batch"])
+    @pytest.mark.parametrize("wrapped", [False, True], ids=["bare", "field"])
+    def test_deeply_nested_json_is_400(self, service, path, wrapped):
+        nested = "[" * 100_000 + "]" * 100_000
+        text = f'{{"received": {nested}}}' if wrapped else nested
+        status, body, _ = post(service.url + path, text)
+        assert status == 400
+        assert body["error"].startswith("request body is not valid JSON")
+
     def test_unknown_post_path_is_404(self, service):
         status, body, _ = post(service.url + "/nope", {"received": 1})
         assert status == 404
+
+    def test_unread_body_closes_keep_alive_connection(
+        self, service, due_word
+    ):
+        """A 404'd body is never read, so the service closes the
+        connection instead of parsing that body as the next request."""
+        body = json.dumps({"received": due_word})
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", service.port, timeout=10
+        )
+        try:
+            connection.request("POST", "/nope", body=body)
+            response = connection.getresponse()
+            response.read()
+            assert response.status == 404
+            assert response.getheader("Connection") == "close"
+            connection.request("POST", "/recover", body=body)
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.load(response)["result"]["received"] == due_word
+        finally:
+            connection.close()
 
 
 class TestSharedObservability:
@@ -221,14 +250,46 @@ class TestSharedObservability:
             get(service.url + "/nope")
         assert excinfo.value.code == 404
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_one_registry_carries_engine_families(self, obs_swap, workers):
+        """Engines, collectors and the service share the swapped-in
+        registry and log, in-process or merged home from shards."""
+        catalog = ServiceCatalog()
+        code = catalog.code(DEFAULT_CODE_ID)
+        words = [code.encode(0x1000 + index) ^ 0b101 for index in range(8)]
+        with RecoveryService(catalog, port=0, workers=workers) as svc:
+            for _ in range(2):  # the replay is answered from the cache
+                status, _, _ = post(
+                    svc.url + "/recover/batch", {"received": words}
+                )
+                assert status == 200
+            _, text = get(svc.url + "/metrics")
+            _, events = get(svc.url + "/events")
+        families = parse_exposition(text)
+        for name in (
+            "swdecc_recoveries", "ops_xor", "decode_table_builds",
+            "energy_joules_total", "service_result_cache_hit_rate",
+        ):
+            assert name in families, name
+        recoveries = families["swdecc_recoveries"].sample_value("_total")
+        assert recoveries == len(words)
+        assert families["energy_joules_total"].sample_value() > 0
+        assert families[
+            "service_result_cache_hit_rate"
+        ].sample_value() == 0.5
+        if workers == 0:
+            assert len(events.splitlines()) == recoveries
+        else:
+            # Shard event rings stay remote; their digests come home.
+            assert obs_swap.log.absorbed_digest.count == recoveries
 
+
+@pytest.mark.usefixtures("obs_swap")
 class TestDegradation:
     def _gated_service(self, policy: str, gate: threading.Event):
         """A service whose engine work blocks on *gate* (tiny queue)."""
         svc = RecoveryService(
             port=0,
-            registry=MetricsRegistry(),
-            event_log=EventLog(),
             queue_limit=1,
             max_batch=1,
             overload_policy=policy,
@@ -260,7 +321,7 @@ class TestDegradation:
         assert svc.batcher.queued_words() == 1
         return parked, filler
 
-    def test_overload_degrades_to_detect_only(self, due_word):
+    def test_overload_degrades_to_detect_only(self, obs_swap, due_word):
         gate = threading.Event()
         svc = self._gated_service("degrade", gate)
         with svc:
@@ -284,9 +345,9 @@ class TestDegradation:
         assert (
             json.loads(filler_result["fragments"][0])["status"] == "recovered"
         )
-        assert svc.registry.get("service.degraded").value == 1.0
+        assert obs_swap.registry.get("service.degraded").value == 1.0
 
-    def test_overload_reject_policy_returns_429(self, due_word):
+    def test_overload_reject_policy_returns_429(self, obs_swap, due_word):
         gate = threading.Event()
         svc = self._gated_service("reject", gate)
         with svc:
@@ -300,9 +361,9 @@ class TestDegradation:
         assert status == 429
         assert body["error"] == "overloaded"
         assert int(headers["Retry-After"]) >= 1
-        assert svc.registry.get("service.rejections").value == 1.0
+        assert obs_swap.registry.get("service.rejections").value == 1.0
 
-    def test_timeout_degrades_to_detect_only(self, due_word):
+    def test_timeout_degrades_to_detect_only(self, obs_swap, due_word):
         gate = threading.Event()
         svc = self._gated_service("degrade", gate)
         try:
@@ -316,7 +377,7 @@ class TestDegradation:
             assert body["degraded"] is True
             assert body["reason"] == "timeout"
             assert body["result"]["status"] == "detect-only"
-            assert svc.registry.get("service.timeouts").value == 1.0
+            assert obs_swap.registry.get("service.timeouts").value == 1.0
         finally:
             gate.set()
 
@@ -399,25 +460,43 @@ class TestLifecycleAndValidation:
         with pytest.raises(ServiceError):
             RecoveryService(default_timeout_s=0)
 
-    def test_stop_is_idempotent(self):
-        svc = RecoveryService(
-            port=0, registry=MetricsRegistry(), event_log=EventLog()
-        )
+    def test_stop_is_idempotent(self, obs_swap):
+        svc = RecoveryService(port=0)
         svc.start()
         svc.stop()
         svc.stop()
         assert not svc.running
 
-    def test_double_start_raises(self):
-        svc = RecoveryService(
-            port=0, registry=MetricsRegistry(), event_log=EventLog()
-        )
+    def test_double_start_raises(self, obs_swap):
+        svc = RecoveryService(port=0)
         svc.start()
         try:
             with pytest.raises(ServiceError):
                 svc.start()
         finally:
             svc.stop()
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_failed_start_leaves_nothing_running(self, obs_swap, workers):
+        threads_before = set(threading.enumerate())
+        children_before = set(multiprocessing.active_children())
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            svc = RecoveryService(port=busy.getsockname()[1], workers=workers)
+            for _ in range(2):  # a retry must not fork a second pool
+                with pytest.raises(OSError):
+                    svc.start()
+                assert not svc.running
+                assert svc.shard_pool is None
+                assert not svc.catalog.frozen
+                assert set(threading.enumerate()) <= threads_before
+                assert set(multiprocessing.active_children()) <= (
+                    children_before
+                )
+        with svc:  # the port is free again: the same service starts
+            status, _ = get(svc.url + "/healthz")
+        assert status == 200
 
     def test_port_zero_resolves(self, service):
         assert service.port != 0

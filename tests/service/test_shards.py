@@ -33,8 +33,6 @@ from repro.core.sideinfo import RecoveryContext
 from repro.core.swdecc import SwdEcc, TieBreak
 from repro.ecc import canonical_secded_39_32
 from repro.errors import ReproError, ServiceError
-from repro.obs.events import EventLog
-from repro.obs.metrics import MetricsRegistry
 from repro.program.stats import FrequencyTable
 from repro.program.synth import synthesize_benchmark
 from repro.service import RecoveryService, ServiceCatalog
@@ -57,16 +55,9 @@ CODE_N = canonical_secded_39_32().n
 
 
 @pytest.fixture(scope="module")
-def sharded_service():
+def sharded_service(module_obs_swap):
     """A 2-shard service; tiny batches force batch-boundary splits."""
-    service = RecoveryService(
-        port=0,
-        workers=2,
-        max_batch=3,
-        registry=MetricsRegistry(),
-        event_log=EventLog(),
-    )
-    with service:
+    with RecoveryService(port=0, workers=2, max_batch=3) as service:
         yield service
 
 
@@ -149,7 +140,7 @@ def test_sharded_identical_to_serial(spec, sharded_service, reference):
             assert payload == expected
 
 
-def test_identity_survives_worker_kill(sharded_service):
+def test_identity_survives_worker_kill(sharded_service, module_obs_swap):
     """A killed worker costs a respawn, never a changed answer."""
     code = sharded_service.catalog.code(DEFAULT_CODE_ID)
     dues = tuple(code.encode(0x1234_5678 + i) ^ 0b11 for i in range(5))
@@ -159,9 +150,8 @@ def test_identity_survives_worker_kill(sharded_service):
     pool = sharded_service.shard_pool
     index = pool.route(DEFAULT_CODE_ID, "mcf")
     victim = pool.worker_pids()[index]
-    respawns_before = sharded_service.registry.counter(
-        "service.shard.respawns"
-    ).value
+    registry = module_obs_swap.registry
+    respawns_before = registry.counter("service.shard.respawns").value
     os.kill(victim, signal.SIGKILL)
     time.sleep(0.1)
 
@@ -171,8 +161,7 @@ def test_identity_survives_worker_kill(sharded_service):
     assert pool.worker_pids()[index] not in (None, victim)
     assert pool.states()[index] == "ok"
     assert (
-        sharded_service.registry.counter("service.shard.respawns").value
-        > respawns_before
+        registry.counter("service.shard.respawns").value > respawns_before
     )
 
 
@@ -184,7 +173,7 @@ def test_healthz_names_lost_worker(sharded_service):
     deadline = time.monotonic() + 5.0
     status = 200
     while time.monotonic() < deadline:
-        status, _, body = sharded_service.healthz_endpoint()
+        status, _, body = sharded_service.healthz()
         if status != 200:
             break
         time.sleep(0.05)
@@ -205,12 +194,12 @@ def test_healthz_names_lost_worker(sharded_service):
         words=(code.encode(0xBEEF) ^ 0b11,), context_id=context_id
     )
     sharded_service.batcher.submit(request).result(timeout=60.0)
-    status, _, body = sharded_service.healthz_endpoint()
+    status, _, body = sharded_service.healthz()
     assert status == 200
     assert json.loads(body)["status"] == "ok"
 
 
-def test_parent_metrics_equal_sum_of_shard_snapshots():
+def test_parent_metrics_equal_sum_of_shard_snapshots(obs_swap):
     """Diff-shipped deltas reassemble the exact per-shard totals.
 
     For every engine-owned ``service.*`` counter, the parent registry
@@ -218,8 +207,6 @@ def test_parent_metrics_equal_sum_of_shard_snapshots():
     shards' own cumulative snapshots — the protocol neither drops nor
     double-counts, even across batches that split work unevenly.
     """
-    registry = MetricsRegistry()
-    event_log = EventLog()
     catalog = ServiceCatalog()
     code = catalog.code(DEFAULT_CODE_ID)
     spec = ShardSpec.from_catalog(catalog, preload=("mcf",))
@@ -229,9 +216,7 @@ def test_parent_metrics_equal_sum_of_shard_snapshots():
         "service.result.cache_hits",
         "service.result.cache_misses",
     )
-    with ShardPool(
-        2, spec, registry=registry, event_log=event_log
-    ) as pool:
+    with ShardPool(2, spec) as pool:
         for round_index in range(3):
             for context_id in CONTEXT_IDS:
                 words = tuple(
@@ -250,7 +235,7 @@ def test_parent_metrics_equal_sum_of_shard_snapshots():
 
         snapshots = pool.snapshots()
 
-    parent = registry.as_dict()
+    parent = obs_swap.registry.as_dict()
     for name in counters:
         shard_total = sum(
             snapshot.get(name, {}).get("value", 0)
@@ -281,12 +266,12 @@ def test_route_key_is_stable_and_in_range():
             assert seen == {0}
 
 
-def test_batch_engine_cost_mode_bypasses_cache():
+def test_batch_engine_cost_mode_bypasses_cache(obs_swap):
     """Cost attribution measures real engine work, never dict probes."""
-    registry = MetricsRegistry()
+    registry = obs_swap.registry
     catalog = ServiceCatalog()
     code = catalog.code(DEFAULT_CODE_ID)
-    engine = BatchEngine(catalog, registry=registry, report_cost=True)
+    engine = BatchEngine(catalog, report_cost=True)
     request = RecoveryRequest(
         words=(code.encode(0x1234) ^ 0b11,), context_id="none"
     )
@@ -298,11 +283,10 @@ def test_batch_engine_cost_mode_bypasses_cache():
     assert registry.counter("service.result.cache_misses").value == 0
 
 
-def test_batch_engine_cache_cap_clears_and_stays_correct():
-    registry = MetricsRegistry()
+def test_batch_engine_cache_cap_clears_and_stays_correct(obs_swap):
     catalog = ServiceCatalog()
     code = catalog.code(DEFAULT_CODE_ID)
-    engine = BatchEngine(catalog, registry=registry)
+    engine = BatchEngine(catalog)
     words = tuple(
         code.encode(i) ^ 0b11 for i in range(RESULT_CACHE_WORDS + 2)
     )
@@ -312,12 +296,12 @@ def test_batch_engine_cache_cap_clears_and_stays_correct():
     assert first["fragments"] == second["fragments"]
 
 
-def test_batch_engine_answer_cache_is_bounded():
+def test_batch_engine_answer_cache_is_bounded(obs_swap):
     """Words that never repeat cannot grow the cache past its bound,
     and every answer still equals the cache-free oracle's."""
     catalog = ServiceCatalog()
     code = catalog.code(DEFAULT_CODE_ID)
-    engine = BatchEngine(catalog, registry=MetricsRegistry())
+    engine = BatchEngine(catalog)
     words = tuple(
         code.encode(i) ^ 0b101 for i in range(RESULT_CACHE_WORDS + 1)
     )
@@ -345,19 +329,14 @@ def test_shard_pool_rejects_bad_worker_counts():
         ShardPool(0, spec)
 
 
+@pytest.mark.usefixtures("obs_swap")
 class TestCatalogFreeze:
     """Late registrations must fail fast once shard workers snapshot."""
 
     def test_late_registration_fails_fast_across_process_boundary(self):
         catalog = ServiceCatalog()
         catalog.register_code("pre-start", canonical_secded_39_32())
-        service = RecoveryService(
-            port=0,
-            workers=1,
-            catalog=catalog,
-            registry=MetricsRegistry(),
-            event_log=EventLog(),
-        )
+        service = RecoveryService(port=0, workers=1, catalog=catalog)
         with service:
             assert catalog.frozen
             with pytest.raises(ServiceError, match="frozen"):
@@ -380,9 +359,7 @@ class TestCatalogFreeze:
         catalog.register_code("post-stop", canonical_secded_39_32())
 
     def test_workers_zero_never_freezes(self):
-        service = RecoveryService(
-            port=0, registry=MetricsRegistry(), event_log=EventLog()
-        )
+        service = RecoveryService(port=0)
         with service:
             assert not service.catalog.frozen
             service.catalog.register_code(
@@ -405,10 +382,7 @@ class TestCatalogFreeze:
 def _serve_and_stop(pids) -> None:
     """Child body: start a one-shard service, report its shard's pid,
     stop it."""
-    service = RecoveryService(
-        port=0, workers=1, registry=MetricsRegistry(), event_log=EventLog()
-    )
-    with service:
+    with RecoveryService(port=0, workers=1) as service:
         pids.put(service.shard_pool.worker_pids()[0])
 
 
@@ -446,6 +420,7 @@ def test_service_stopped_in_a_multiprocessing_child_exits():
             os.kill(shard_pid, signal.SIGKILL)
 
 
+@pytest.mark.usefixtures("obs_swap")
 class TestNewCodeFamilies:
     def test_catalog_resolves_daec_dec_dected(self):
         catalog = ServiceCatalog()
@@ -460,12 +435,7 @@ class TestNewCodeFamilies:
         """Factory codes need no forwarding: a worker serves daec-41-32."""
         from repro.ecc import daec_code
 
-        service = RecoveryService(
-            port=0,
-            workers=1,
-            registry=MetricsRegistry(),
-            event_log=EventLog(),
-        )
+        service = RecoveryService(port=0, workers=1)
         code = daec_code()
         # A non-adjacent double: a DUE even for the DAEC decoder.
         due = code.encode(0xDEADBEEF) ^ (1 << 40) ^ (1 << 2)

@@ -26,8 +26,6 @@ from hypothesis import strategies as st
 
 from repro.ecc import canonical_secded_39_32
 from repro.obs import trace as obs_trace
-from repro.obs.events import EventLog
-from repro.obs.metrics import MetricsRegistry
 from repro.service import RecoveryService
 
 CONTEXT_IDS = ("none", "mcf", "bzip2")
@@ -46,16 +44,12 @@ _ID_COUNTER = itertools.count(1)
 
 
 @pytest.fixture(scope="module", params=[0, 2], ids=lambda n: f"workers{n}")
-def traced_service(request):
+def traced_service(request, module_obs_swap):
     """A traced service, in-process and with 2 shards; tiny batches
     force splits."""
     collector = obs_trace.enable_tracing(obs_trace.SpanCollector())
     service = RecoveryService(
-        port=0,
-        workers=request.param,
-        max_batch=3,
-        registry=MetricsRegistry(),
-        event_log=EventLog(),
+        port=0, workers=request.param, max_batch=3
     )
     try:
         with service:
@@ -227,22 +221,24 @@ def test_unsampled_inbound_header_propagates_without_recording(
     assert collector.traces.get(trace_id) is None
 
 
-def test_stage_histograms_observed_for_untraced_requests(traced_service):
+def test_stage_histograms_observed_for_untraced_requests(
+    traced_service, module_obs_swap
+):
     """The /metrics decomposition costs nothing extra to keep hot: it
     is observed for every request, traced or not."""
     service, _ = traced_service
+    registry = module_obs_swap.registry
     before = {
-        name: service.registry.histogram(name).count
-        for name in STAGE_NAMES
+        name: registry.histogram(name).count for name in STAGE_NAMES
     }
     _post(service, [CODE.encode(21) ^ 0b101], "none")
     # respond is observed after the response bytes flush, so the
     # client can get here before the handler thread observes it.
     deadline = time.monotonic() + 10.0
     while time.monotonic() < deadline and any(
-        service.registry.histogram(name).count <= before[name]
+        registry.histogram(name).count <= before[name]
         for name in STAGE_NAMES
     ):
         time.sleep(0.001)
     for name in STAGE_NAMES:
-        assert service.registry.histogram(name).count > before[name], name
+        assert registry.histogram(name).count > before[name], name
