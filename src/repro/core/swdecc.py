@@ -39,6 +39,7 @@ import time
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 from repro.core.cache import ContextCache, ContextTable, ContextTables
 from repro.core.filters import CandidateFilter, FilterChain, InstructionLegalityFilter
@@ -62,6 +63,11 @@ from repro.obs.trace import span
 _log = obs_logging.get_logger("swdecc")
 
 __all__ = ["TieBreak", "RecoveryResult", "SwdEcc", "success_probability"]
+
+#: The side-info context of calls that pass none: one shared, empty
+#: context, so context-less calls share its verdict table and decision
+#: rows instead of starting a new generation of each per call.
+_DEFAULT_CONTEXT = RecoveryContext()
 
 
 class TieBreak(enum.Enum):
@@ -142,6 +148,10 @@ def _target_order(pair: tuple[int, float]) -> tuple[float, int]:
     return -pair[1], pair[0]
 
 
+#: The score of a ``(message, score)`` pair (a C-level sort key).
+_score_of = itemgetter(1)
+
+
 #: RecoveryResult fields, in declaration order (for the lazy variant's
 #: equality/pickle downcast).
 _RESULT_FIELDS = (
@@ -186,13 +196,16 @@ class _TableResult(RecoveryResult):
     def ranked_targets(self) -> list[tuple[int, float]]:
         received_message = self._received_message
         row = self._row
-        return sorted(
-            [
-                (received_message ^ offset, score)
-                for offset, score in zip(row[0], row[1])
-            ],
-            key=_target_order,
-        )
+        targets = [
+            (received_message ^ offset, score)
+            for offset, score in zip(row[0], row[1])
+        ]
+        # Messages are distinct, so this orders them ascending; the
+        # stable second sort then puts scores descending, equal scores
+        # keeping that order.  No Python key function runs.
+        targets.sort()
+        targets.sort(key=_score_of, reverse=True)
+        return targets
 
     def __getattr__(self, name: str):
         if name == "candidates":
@@ -431,7 +444,7 @@ class SwdEcc:
         pipeline serves everything else.
         """
         if context is None:
-            context = RecoveryContext()
+            context = _DEFAULT_CONTEXT
         if self._table is not None:
             result = self._recover_from_table(received, context)
             if result is not None:
@@ -738,7 +751,7 @@ class SwdEcc:
         :meth:`recover` calls exactly.
         """
         if context is None:
-            context = RecoveryContext()
+            context = _DEFAULT_CONTEXT
         with span("swdecc.recover_batch"):
             return [self.recover(received, context) for received in received_words]
 
@@ -774,7 +787,7 @@ class SwdEcc:
         in k bits.
         """
         if context is None:
-            context = RecoveryContext()
+            context = _DEFAULT_CONTEXT
         if not messages:
             return []
         table = self._table
@@ -882,7 +895,7 @@ class SwdEcc:
         and 8 are evaluated.
         """
         if context is None:
-            context = RecoveryContext()
+            context = _DEFAULT_CONTEXT
         candidates = self._candidates_with_escalation(received)
         candidate_messages = tuple(
             self._code.extract_message(codeword) for codeword in candidates

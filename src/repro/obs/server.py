@@ -53,6 +53,11 @@ __all__ = ["ObsServer"]
 _log = logging.getLogger("repro.obs.server")
 _log.addHandler(logging.NullHandler())
 
+#: Seconds between ``serve_forever``'s checks for a shutdown request:
+#: :meth:`ObsServer.stop` waits up to this long.  The stdlib default,
+#: 0.5 s, made every stop cost about half a second.
+_POLL_INTERVAL_S = 0.05
+
 
 class _ObsRequestHandler(BaseHTTPRequestHandler):
     """Routes GET requests to the shared endpoints of the owning
@@ -248,6 +253,7 @@ class ObsServer:
         self._httpd = httpd
         self._thread = Thread(
             target=httpd.serve_forever,
+            args=(_POLL_INTERVAL_S,),
             name=f"repro-obs-server:{self.port}",
             daemon=True,
         )

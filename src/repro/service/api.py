@@ -187,21 +187,52 @@ def _json_value(value: Any) -> str:
     return json.dumps(value)
 
 
+#: Values :data:`_SCORE_TEXT` holds before it is cleared.  A context
+#: scores every candidate from its image's mnemonic frequencies, so the
+#: served traffic repeats a few dozen score values.
+SCORE_TEXT_VALUES = 4096
+
+#: JSON text of float scores already written, by value.  Only finite,
+#: non-zero ``float`` values are stored, and only ``float`` values are
+#: looked up: ``0.0`` and ``-0.0`` are equal keys with different texts,
+#: and so are ``1``, ``1.0`` and ``True``.
+_SCORE_TEXT: dict[float, str] = {}
+
+
+def _score_text(score: Any) -> str:
+    """The JSON text of a score :data:`_SCORE_TEXT` does not hold,
+    stored there when the score is a finite, non-zero float."""
+    text = _json_value(score)
+    if type(score) is float and score and score - score == 0.0:
+        if len(_SCORE_TEXT) >= SCORE_TEXT_VALUES:
+            _SCORE_TEXT.clear()
+        _SCORE_TEXT[score] = text
+    return text
+
+
 def result_fragment(received: int, result: RecoveryResult) -> str:
     """The JSON text of :func:`result_payload`, written directly.
 
     Byte-identical to ``json.dumps(result_payload(received, result),
     sort_keys=True)`` — keys in sorted order, the encoder's default
     separators — without building the payload dict or running the
-    encoder.
+    encoder.  Float scores take their text from a bounded memo instead
+    of a ``float.__repr__`` call each.
     """
     chosen = result.chosen_message
-    targets = ", ".join([
-        f'{{"chosen": {"true" if message == chosen else "false"}, '
-        f'"message": {_json_value(message)}, '
-        f'"score": {_json_value(score)}}}'
-        for message, score in result.ranked_targets()
-    ])
+    score_texts = _SCORE_TEXT
+    targets = []
+    for message, score in result.ranked_targets():
+        text = score_texts.get(score) if type(score) is float else None
+        if text is None:
+            text = _score_text(score)
+        flag = "true" if message == chosen else "false"
+        if type(message) is not int:
+            message = _json_value(message)
+        # An f-string writes an int as int.__repr__ does.
+        targets.append(
+            f'{{"chosen": {flag}, "message": {message}, "score": {text}}}'
+        )
     return (
         f'{{"chosen_codeword": {_json_value(result.chosen_codeword)}, '
         f'"chosen_message": {_json_value(chosen)}, '
@@ -209,7 +240,7 @@ def result_fragment(received: int, result: RecoveryResult) -> str:
         f'"num_candidates": {_json_value(result.num_candidates)}, '
         f'"num_valid": {_json_value(result.num_valid)}, '
         f'"received": {_json_value(received)}, '
-        f'"status": "recovered", "targets": [{targets}], '
+        f'"status": "recovered", "targets": [{", ".join(targets)}], '
         f'"tied": {_json_value(result.tied)}}}'
     )
 

@@ -36,9 +36,9 @@ so both paths share one executor and one served-answer cache: answers
 are deterministic, so each ``(code, context, word)`` is recovered once
 and then replayed as its JSON fragment, written by
 :func:`~repro.service.api.result_fragment` — a dict probe instead of
-~38 µs in ``recover()`` plus ~39 µs of fragment writing and
+~26 µs in ``recover()`` plus ~26 µs of fragment writing and
 bookkeeping per word (medians of three traced perfbench ``distinct``
-runs on a 2-vCPU VM, Python 3.11).  The cache holds at most
+runs on a 2-vCPU VM, Python 3.11.7).  The cache holds at most
 :data:`RESULT_CACHE_WORDS` answers and clears in place when full.
 That covers a hot set of re-read words, while transient upsets, which
 never repeat, can fill it with at most ~4 MiB of answers nobody reads

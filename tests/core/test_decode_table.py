@@ -594,6 +594,29 @@ def test_kernel_pinned_fallback_and_tie_words(code_name, strategy, tie_break):
     assert fast._rng.random() == reference._rng.random()
 
 
+def test_context_less_calls_share_one_default_context():
+    """Calls without a context share one default context: repeated
+    recover(), recover_batch() and sweep_probabilities() calls fill one
+    verdict table and keep one decision-row generation."""
+    fast, reference = _engines()
+    received = CODE.encode(IMAGE.words[0]) ^ PATTERNS[0]
+    first = reference.recover(received)
+    filled = None
+    for _ in range(4):
+        assert fast.recover(received) == first
+        assert fast.recover_batch([received]) == [first]
+        fast.sweep_probabilities(IMAGE.words[:4], PATTERNS[0])
+        assert fast.recovery_probability(
+            received, first.chosen_message
+        ) == reference.recovery_probability(received, first.chosen_message)
+        assert len(fast._verdicts) == 1
+        (table,) = fast._verdicts._tables.values()
+        assert filled in (None, len(table))  # nothing new after the first
+        filled = len(table)
+        assert len(fast._row_cache) == 1
+    assert filled > 0
+
+
 def _selector_keyspace():
     """Every selector key: each opcode with every value of the other
     bits its selector mask keeps."""

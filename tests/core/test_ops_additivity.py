@@ -155,15 +155,44 @@ def test_table_build_charges_no_ops():
 @given(specs=st.lists(_SPEC, min_size=1, max_size=8))
 def test_precompiled_charges_reference_ops_minus_amortized_walk(specs):
     """Serving from the table matches the oracle on every op except
-    XOR, where the table charges *less*: it never walks H's columns."""
+    XOR, where the table charges *less*: it never walks H's columns.
+    Each word brings its own context, so a repeated word decides
+    afresh, as the oracle always does."""
     words = _due_words(specs)
-    table = _measure(lambda engine: [engine.recover(word) for word in words])
+    table = _measure(
+        lambda engine: [engine.recover(word, RecoveryContext()) for word in words]
+    )
     reference = _measure(
-        lambda engine: [engine.recover(word) for word in words], cache=False
+        lambda engine: [engine.recover(word, RecoveryContext()) for word in words],
+        cache=False,
     )
     assert table["ops.xor"] <= reference["ops.xor"]
     del table["ops.xor"], reference["ops.xor"]
     assert table == reference
+
+
+def test_context_less_calls_amortize_decision_rows():
+    """Calls without a context share one default context, so they
+    amortize decision rows as calls that pin one context do: the second
+    context-less ``recover()`` of a class charges no filter or ranker
+    evals, while a fresh context per call charges them every time."""
+    (word,) = _due_words([(0x8FBF0018, 1, 4)])
+    once = _measure(lambda engine: engine.recover(word))
+    twice = _measure(lambda engine: [engine.recover(word) for _ in range(2)])
+    second = {name: twice[name] - once[name] for name in twice}
+    assert once["ops.filter_evals"] > 0 and once["ops.ranker_evals"] > 0
+    assert second["ops.filter_evals"] == second["ops.ranker_evals"] == 0
+    assert second["ops.syndrome_computes"] == 1
+    assert second["ops.candidate_enumerations"] == 1
+    context = RecoveryContext()
+    assert _measure(
+        lambda engine: [engine.recover(word, context) for _ in range(2)]
+    ) == twice
+    fresh = _measure(
+        lambda engine: [engine.recover(word, RecoveryContext()) for _ in range(2)]
+    )
+    assert fresh["ops.filter_evals"] == 2 * once["ops.filter_evals"]
+    assert fresh["ops.ranker_evals"] == 2 * once["ops.ranker_evals"]
 
 
 _SWEEP_OPS = ("ops.candidate_enumerations", "ops.filter_evals", "ops.ranker_evals")

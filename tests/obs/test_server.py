@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -238,3 +239,16 @@ class TestLifecycle:
             status, _, _ = _get(server, "/healthz")
             assert status == 200
         assert not server.running
+
+    def test_idle_stop_is_quick(self, obs_swap):
+        """stop() waits for the serving thread's next shutdown check,
+        so an idle server stops in well under the stdlib's 0.5 s poll
+        (best of three, which rides out a descheduled thread)."""
+        stops = []
+        for _ in range(3):
+            server = ObsServer(port=0).start()
+            time.sleep(0.05)  # let serve_forever enter its wait
+            start = time.perf_counter()
+            server.stop()
+            stops.append(time.perf_counter() - start)
+        assert min(stops) < 0.2, stops

@@ -8,7 +8,10 @@ catalog code, in the ``none`` context and a benchmark context, under
 both tie-breaks, including filter fallbacks, ties and radius
 escalations, and on rankers whose scores are ints or non-finite floats.
 It also checks that a table result answers ``ranked_targets()``,
-``num_candidates`` and ``num_valid`` without materializing its tuples.
+``num_candidates`` and ``num_valid`` without materializing its tuples,
+and that the writer's memo of float score texts never gives one value
+another's text (``1``, ``1.0`` and ``True``; ``0.0`` and ``-0.0``; NaN)
+and stays within its bound.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from hypothesis import strategies as st
 from repro.core.rankers import CandidateRanker
 from repro.core.swdecc import RecoveryResult, SwdEcc, TieBreak
 from repro.errors import ReproError
+from repro.service import api
 from repro.service.api import result_fragment, result_payload
 from repro.service.catalog import DEFAULT_CODE_ID, ServiceCatalog
 
@@ -209,6 +213,52 @@ def test_fragment_writes_every_json_value_like_the_encoder():
         assert result_fragment(received, result) == _reference(
             received, result
         )
+
+
+def _scored(scores) -> RecoveryResult:
+    """A hand-built result whose targets carry *scores*."""
+    messages = tuple(range(len(scores)))
+    return RecoveryResult(
+        received=5,
+        candidates=messages,
+        candidate_messages=messages,
+        valid_messages=messages,
+        filter_fell_back=False,
+        scores=tuple(scores),
+        chosen_message=0,
+        chosen_codeword=0,
+        tied=1,
+    )
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_score_memo_keeps_equal_scores_of_other_kinds_apart(
+    monkeypatch, reverse
+):
+    """``1``, ``1.0`` and ``True`` are equal dict keys, and so are
+    ``0.0`` and ``-0.0``; NaN equals nothing.  Written in either order,
+    each keeps its own text, and the memo holds only finite, non-zero
+    floats."""
+    monkeypatch.setattr(api, "_SCORE_TEXT", {})
+    results = [
+        _scored((1.0, 0.25, -0.0, math.nan, math.inf, 0.0)),
+        _scored((1, True, 0.0, -0.0, 0.25, math.nan, -math.inf)),
+        _scored((False, 0, 1.0, 5e-324, -2.5)),
+    ]
+    for result in reversed(results) if reverse else results:
+        for _ in range(2):  # the second pass reads the memo
+            assert result_fragment(5, result) == _reference(5, result)
+    assert set(api._SCORE_TEXT) == {1.0, 0.25, 5e-324, -2.5}
+    assert all(type(score) is float for score in api._SCORE_TEXT)
+
+
+def test_score_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(api, "_SCORE_TEXT", {})
+    monkeypatch.setattr(api, "SCORE_TEXT_VALUES", 3)
+    for start in range(0, 40, 4):
+        result = _scored([0.1 * (start + step) for step in range(4)])
+        assert result_fragment(5, result) == _reference(5, result)
+        assert len(api._SCORE_TEXT) <= 3
 
 
 @pytest.mark.parametrize("code_id", TABLE_CODE_IDS)

@@ -18,6 +18,7 @@ observable may change when it does.  Three contracts are pinned here:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -42,6 +43,7 @@ from repro.service.catalog import (
     _CONTEXT_SEED,
     DEFAULT_CODE_ID,
 )
+from repro.service import shards
 from repro.service.shards import (
     RESULT_CACHE_WORDS,
     BatchEngine,
@@ -321,6 +323,146 @@ def test_batch_engine_answer_cache_is_bounded(obs_swap):
         except ReproError as error:
             expected = error_payload(word, error)
         assert fragment == json.dumps(expected, sort_keys=True)
+
+
+#: Codes whose DUEs the catalog engines serve from decode tables.
+MIXED_CODE_IDS = ("secded-39-32", "hsiao-39-32", "daec-41-32")
+
+
+def _mixed_requests(catalog, seed, count=36, words_per_request=12):
+    """Seeded requests over three codes and three contexts: 2-bit DUEs
+    with codewords, 1-bit CEs, 3-bit errors (some escalate), words out
+    of range and repeats, within and across requests."""
+    rng = random.Random(seed)
+    requests = []
+    seen: list[int] = []
+    for index in range(count):
+        code_id = MIXED_CODE_IDS[index % len(MIXED_CODE_IDS)]
+        code = catalog.code(code_id)
+        words = []
+        for _ in range(words_per_request):
+            word = code.encode(rng.getrandbits(32))
+            kind = rng.random()
+            if kind < 0.1 and seen:
+                word = rng.choice(seen)
+            elif kind < 0.14:
+                pass  # a codeword
+            elif kind < 0.18:
+                word ^= 1 << rng.randrange(code.n)
+            elif kind < 0.2:
+                word |= 1 << code.n
+            else:
+                for position in rng.sample(
+                    range(code.n), 3 if kind < 0.26 else 2
+                ):
+                    word ^= 1 << position
+            words.append(word)
+            seen.append(word)
+        requests.append(RecoveryRequest(
+            words=tuple(words),
+            code_id=code_id,
+            context_id=CONTEXT_IDS[index // 3 % len(CONTEXT_IDS)],
+        ))
+    return requests
+
+
+def _serve_in_batches(engine, requests, batch=4):
+    """Every request's fragments, executing *batch* requests at a time."""
+    fragments = []
+    for start in range(0, len(requests), batch):
+        for outcome in engine.execute(requests[start:start + batch]):
+            fragments.append(outcome["fragments"])
+    return fragments
+
+
+def test_batch_engine_words_equal_oracle_fragments(obs_swap):
+    """Every word of mixed requests, error words mid-request included,
+    is the cache-free oracle's fragment, whether the engine ran it or
+    the answer cache replayed it."""
+    catalog = ServiceCatalog()
+    requests = _mixed_requests(catalog, seed=20)
+    engine = BatchEngine(catalog)
+    served = _serve_in_batches(engine, requests)
+    registry = obs_swap.registry
+    assert registry.counter("service.result.cache_hits").value > 0
+    assert registry.counter("service.recovery_errors").value > 0
+    oracles = {
+        code_id: SwdEcc(
+            catalog.code(code_id), tie_break=TieBreak.FIRST, cache=False
+        )
+        for code_id in MIXED_CODE_IDS
+    }
+    for request, fragments in zip(requests, served):
+        oracle = oracles[request.code_id]
+        context = catalog.context(request.context_id)
+        assert len(fragments) == len(request.words)
+        for word, fragment in zip(request.words, fragments):
+            try:
+                expected = result_payload(word, oracle.recover(word, context))
+            except ReproError as error:
+                expected = error_payload(word, error)
+            assert fragment == json.dumps(expected, sort_keys=True)
+
+
+def test_batch_engine_repeated_word_is_one_miss_and_one_hit(obs_swap):
+    """A word repeated within one request is recovered once; its repeat
+    is served from the answer cache."""
+    catalog = ServiceCatalog()
+    code = catalog.code(DEFAULT_CODE_ID)
+    word = code.encode(0x8FBF0018) ^ 0b101
+    request = RecoveryRequest(words=(word, word), context_id="mcf")
+    (outcome,) = BatchEngine(catalog).execute([request])
+    first, repeat = outcome["fragments"]
+    assert first == repeat
+    registry = obs_swap.registry
+    assert registry.counter("service.result.cache_misses").value == 1
+    assert registry.counter("service.result.cache_hits").value == 1
+    assert registry.counter("service.recoveries").value == 2
+    assert registry.counter("swdecc.recoveries").value == 1
+
+
+def test_batch_engine_cache_clear_mid_request_forgets_its_words(
+    obs_swap, monkeypatch
+):
+    """The answer cache clears when full, also between two copies of a
+    word in one request: the second copy then misses and is recovered
+    again, as a word-by-word store would have it."""
+    monkeypatch.setattr(shards, "RESULT_CACHE_WORDS", 4)
+    catalog = ServiceCatalog()
+    code = catalog.code(DEFAULT_CODE_ID)
+    words = tuple(code.encode(value) ^ 0b11 for value in range(5))
+    request = RecoveryRequest(words=words + words[:1], context_id="none")
+    engine = BatchEngine(catalog)
+    (outcome,) = engine.execute([request])
+    assert outcome["fragments"][0] == outcome["fragments"][-1]
+    registry = obs_swap.registry
+    assert registry.counter("service.result.cache_misses").value == 6
+    assert registry.counter("service.result.cache_hits").value == 0
+    assert registry.counter("swdecc.recoveries").value == 6
+    # The cache holds the words stored since the clear: the fifth word
+    # and the repeat.
+    assert sorted(engine._cache[(DEFAULT_CODE_ID, "none")]) == sorted(
+        (words[4], words[0])
+    )
+
+
+#: sha256 of :func:`_mixed_requests` (seed 2016) served four requests
+#: per batch, each fragment followed by a newline: any change to the
+#: served bytes, error words included, changes it.
+GOLDEN_FRAGMENTS_SHA256 = (
+    "fdf028eadfb87b6ff5cc7698568b445c1f901682d9a457194b09ab4232cbc333"
+)
+
+
+def test_batch_engine_fragments_match_golden_digest(obs_swap):
+    catalog = ServiceCatalog()
+    digest = hashlib.sha256()
+    for fragments in _serve_in_batches(
+        BatchEngine(catalog), _mixed_requests(catalog, seed=2016)
+    ):
+        for fragment in fragments:
+            digest.update(fragment.encode() + b"\n")
+    assert digest.hexdigest() == GOLDEN_FRAGMENTS_SHA256
 
 
 def test_shard_pool_rejects_bad_worker_counts():
