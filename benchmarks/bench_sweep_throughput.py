@@ -6,8 +6,10 @@ three sweep configurations:
 
 - **reference** — ``DueSweep(cache=False)``: the engine's oracle,
   one full enumerate → filter → rank → choose pipeline per word;
-- **table** — ``DueSweep()`` (the default): every pattern served from
-  the code's decode table, one decision per message;
+- **table** — ``DueSweep()`` (the default): one
+  ``SwdEcc.sweep_patterns`` call for all patterns, served from the
+  code's decode table: a score row per message, and per (pattern,
+  message) a C-level gather of the candidates' scores;
 - **parallel** — table sweeps fanned out over worker processes
   (``jobs=2``; chunk setup dominates on small hosts, so no scaling is
   asserted — the parallel row is printed for cross-host comparison).
@@ -15,8 +17,12 @@ three sweep configurations:
 The table configuration is asserted to reach at least 6x the reference
 throughput.  A measurement under the floor is re-taken (up to three
 attempts, best speedup wins) so scheduler noise on a loaded CI host
-cannot fail the gate — the floor itself never loosens.  The gate
-prints its figures and writes no file; ``perfbench/run.py`` keeps the
+cannot fail the gate — the floor itself never loosens.  The floor
+stays at 6x although the chunk kernel roughly doubled the table
+side: on a 2-vCPU VM, ten runs read 14.9-28.0x against 7.9-15.0x for
+the per-pattern kernel before it, ranges too close for a floor
+between them to fail one kernel and never the other.  The gate prints
+its figures and writes no file; ``perfbench/run.py`` keeps the
 provenance-stamped performance record.  See ``docs/performance.md``.
 """
 

@@ -188,23 +188,25 @@ def run_fig5(
 ) -> Fig5Result:
     """Compute Fig. 5 for *image* (synthetic mcf by default).
 
-    Each pattern runs the sweep kernel
-    (:meth:`~repro.core.swdecc.SwdEcc.sweep_probabilities`) over the
-    whole window: its per-word ``(num_candidates, num_valid)`` are the
-    counts :meth:`~repro.core.swdecc.SwdEcc.recover` reports, with
+    One call of the sweep kernel
+    (:meth:`~repro.core.swdecc.SwdEcc.sweep_patterns`) covers every
+    pattern over the whole window: its per-word ``(num_candidates,
+    num_valid)`` are the counts
+    :meth:`~repro.core.swdecc.SwdEcc.recover` reports, with
     ``num_valid`` 0 when the filter fell back.
     """
     code = code or default_code()
     image = image or synthesize_benchmark("mcf", length=_DEFAULT_IMAGE_LENGTH)
     window = min(num_instructions, len(image))
     sweep = DueSweep(code, RecoveryStrategy.FILTER_ONLY, window)
-    engine = sweep.engine
     context = RecoveryContext.for_instructions(FrequencyTable.from_image(image))
-    messages = image.words[:window]
     candidate_matrix = []
     valid_matrix = []
-    for pattern in sweep.patterns:
-        stats = engine.sweep_probabilities(messages, pattern.vector, context)
+    for stats in sweep.engine.sweep_patterns(
+        image.words[:window],
+        [pattern.vector for pattern in sweep.patterns],
+        context,
+    ):
         candidate_matrix.append(tuple(count for _, count, _ in stats))
         valid_matrix.append(tuple(valid for _, _, valid in stats))
     return Fig5Result(
@@ -252,7 +254,9 @@ class Fig6Result:
 def _fig6_pattern_rates(payload) -> list[tuple[float, float, float]]:
     """Fig. 6 rates for one chunk of patterns (parallel-map worker).
 
-    Returns ``(random_rate, filter_rate, filter_best)`` per pattern.
+    One :meth:`~repro.core.swdecc.SwdEcc.sweep_patterns` call per
+    engine covers the chunk.  Returns ``(random_rate, filter_rate,
+    filter_best)`` per pattern.
     Module-level and driven by plain data so it pickles into worker
     processes; the serial path runs the same code in-process.
     """
@@ -261,14 +265,12 @@ def _fig6_pattern_rates(payload) -> list[tuple[float, float, float]]:
     originals = image.words[:window]
     random_engine = DueSweep(code, RecoveryStrategy.RANDOM_CANDIDATE, window).engine
     filter_engine = DueSweep(code, RecoveryStrategy.FILTER_ONLY, window).engine
+    vectors = [pattern.vector for pattern in patterns]
     rows = []
-    for pattern in patterns:
-        random_stats = random_engine.sweep_probabilities(
-            originals, pattern.vector, context
-        )
-        filter_stats = filter_engine.sweep_probabilities(
-            originals, pattern.vector, context
-        )
+    for random_stats, filter_stats in zip(
+        random_engine.sweep_patterns(originals, vectors, context),
+        filter_engine.sweep_patterns(originals, vectors, context),
+    ):
         random_total = 0.0
         filter_total = 0.0
         best = 0.0

@@ -6,14 +6,14 @@ the recovery heuristic, and reports per-pattern success rates.  This
 module runs that sweep for any (code, strategy, images) combination.
 
 Success is measured with
-:meth:`repro.core.swdecc.SwdEcc.sweep_probabilities` — per word, the
-exact probability that the strategy picks the original message —
-rather than a single sampled tie-break, so sweep output is
-deterministic and equals the expectation of the paper's sampled
-procedure.
+:meth:`repro.core.swdecc.SwdEcc.sweep_patterns` — per word, the exact
+probability that the strategy picks the original message — rather
+than a single sampled tie-break, so sweep output is deterministic and
+equals the expectation of the paper's sampled procedure.
 
-Two things make the sweep fast (see ``docs/performance.md``): the
-engine serves every pattern from the code's decode table, and
+Two things make the sweep fast (see ``docs/performance.md``): one
+engine call sweeps a whole chunk of patterns from the code's decode
+table (a score row per message, a C-level gather per word), and
 ``jobs > 1`` fans pattern chunks out over worker processes with a
 deterministic merge — parallel results are bit-identical to serial
 ones, and worker metrics are folded back into the parent registry.
@@ -187,7 +187,8 @@ class DueSweep:
         """Per-pattern outcomes over the image's leading window.
 
         This is the sweep kernel both the serial path and the parallel
-        workers run; it must stay a pure function of (engine config,
+        workers run, one :meth:`~repro.core.swdecc.SwdEcc.sweep_patterns`
+        call per chunk; it must stay a pure function of (engine config,
         image, patterns) so chunked results concatenate into exactly
         the serial output.
         """
@@ -197,15 +198,16 @@ class DueSweep:
         )
         originals = image.words[:window]
         outcomes = []
-        for pattern in patterns:
+        swept = self._engine.sweep_patterns(
+            originals, [pattern.vector for pattern in patterns], context
+        )
+        for pattern, stats in zip(patterns, swept):
             success_total = 0.0
             candidates_total = 0
             valid_total = 0
-            for probability, num_candidates, num_valid in (
-                self._engine.sweep_probabilities(
-                    originals, pattern.vector, context
-                )
-            ):
+            # Sequential float addition: from Python 3.12 on, sum()
+            # compensates rounding, which would move the rates.
+            for probability, num_candidates, num_valid in stats:
                 success_total += probability
                 candidates_total += num_candidates
                 valid_total += num_valid

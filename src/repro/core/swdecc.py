@@ -37,7 +37,7 @@ import logging
 import random
 import time
 from bisect import bisect_left
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -47,7 +47,7 @@ from repro.core.rankers import CandidateRanker, FrequencyRanker
 from repro.core.sideinfo import RecoveryContext
 from repro.ecc.candidates import CandidateEnumerator
 from repro.ecc.code import LinearBlockCode
-from repro.ecc.decode_table import DecodeTable
+from repro.ecc.decode_table import DecodeEntry, DecodeTable
 from repro.errors import DecodingError, EncodingError, RecoveryError
 from repro.isa.decoder import (
     ALL_SELECTOR_FIELDS,
@@ -262,6 +262,45 @@ class _TableResult(RecoveryResult):
         # row holds table internals that must not cross process
         # boundaries, and receivers need no lazy machinery.
         return (RecoveryResult, self._field_values())
+
+
+#: A filtered candidate's value in a sweep row: below every score, so
+#: ``max`` picks a kept candidate whenever there is one.
+_FILTERED = float("-inf")
+
+
+def _sweep_rows(
+    messages: Sequence[int], deltas: tuple[int, ...], verdicts: ContextTable
+) -> list[list]:
+    """The rows of :meth:`SwdEcc.sweep_patterns`: per message, the
+    verdict of ``message ^ delta`` for each delta, filtered candidates
+    at :data:`_FILTERED`.  A row holding a score ``max`` cannot order
+    against :data:`_FILTERED` (NaN, or ``-inf`` itself) reads as all
+    filtered instead, so each of its words is decided by
+    :meth:`SwdEcc._decide` like a filter fallback."""
+    masks = SELECTOR_FIELD_MASKS
+    rows = [
+        [
+            verdicts[(candidate := message ^ delta) & masks[candidate >> 26]]
+            for delta in deltas
+        ]
+        for message in messages
+    ]
+    # The verdict table now holds every score the rows hold.
+    unorderable = {
+        score
+        for score in set(verdicts.values())
+        if score is not None and not score > _FILTERED
+    }
+    # Through dict.get with the verdict as its default, None (filtered)
+    # becomes _FILTERED and a score stays itself.
+    row_value = {None: _FILTERED}.get
+    for index, row in enumerate(rows):
+        if unorderable and not unorderable.isdisjoint(row):
+            rows[index] = [_FILTERED] * len(deltas)
+        else:
+            row[:] = map(row_value, row, row)
+    return rows
 
 
 def _verdict_fill(predicate, scorer):
@@ -688,17 +727,17 @@ class SwdEcc:
     ) -> tuple:
         """Filter → fallback → rank → ties for one decode-table class.
 
-        The one decision kernel of the table path: :meth:`recover`
-        runs it once per new decision row, :meth:`sweep_probabilities`
-        once per message.  A candidate's message is ``base ^ offset``
-        (*base* is the received message, or just its selector-field
-        bits), and its filter verdict and ranker score are pure
-        functions of its selector key and the context — so each is one
-        probe of the context's *verdicts* table (the score when the
-        filter keeps the key's spec, else ``None``), and every word of
-        one ``(entry, selector base, context)`` class shares this
-        decision.  When the filter rejects every candidate, all of them
-        are scored through the ranker's spec hook instead.
+        The one decision of the table path: :meth:`recover` runs it
+        once per new decision row, and :meth:`sweep_patterns` for each
+        word its gather cannot decide.  A candidate's message is
+        ``base ^ offset`` (*base* is the received message, or just its
+        selector-field bits), and its filter verdict and ranker score
+        are pure functions of its selector key and the context — so
+        each is one probe of the context's *verdicts* table (the score
+        when the filter keeps the key's spec, else ``None``), and every
+        word of one ``(entry, selector base, context)`` class shares
+        this decision.  When the filter rejects every candidate, all of
+        them are scored through the ranker's spec hook instead.
 
         Pure: charges nothing.  Callers charge, per decided word, the
         filter evaluations (every candidate, when the chain has
@@ -761,107 +800,185 @@ class SwdEcc:
         error: int,
         context: RecoveryContext | None = None,
     ) -> list[tuple[float, int, int]]:
-        """Exact per-message recovery stats for one error pattern.
+        """Exact per-message recovery stats for one error pattern: the
+        one-pattern case of :meth:`sweep_patterns`."""
+        return next(self.sweep_patterns(messages, (error,), context))
+
+    def sweep_patterns(
+        self,
+        messages: Sequence[int],
+        errors: Iterable[int],
+        context: RecoveryContext | None = None,
+    ) -> Iterator[list[tuple[float, int, int]]]:
+        """Exact per-message recovery stats, one list per error pattern.
 
         The kernel behind :class:`~repro.analysis.sweep.DueSweep`.
-        Returns ``(success_probability, num_candidates, num_valid)``
-        per message — ``num_valid`` is 0 when the filter fell back —
-        bit-identical to recovering ``encode(m) ^ error`` with
-        :meth:`recover` and scoring the trace with
-        :func:`success_probability` under this engine's tie-break.
+        Yields, for each error in order, ``(success_probability,
+        num_candidates, num_valid)`` per message — ``num_valid`` is 0
+        when the filter fell back — bit-identical to recovering
+        ``encode(m) ^ error`` with :meth:`recover` and scoring the
+        trace with :func:`success_probability` under this engine's
+        tie-break.
 
-        On the table path the pattern's syndrome picks one table entry
-        for every message: ``encode(m) ^ error`` carries message bits
-        ``m ^ (error >> r)``, its candidates are those bits XOR the
-        entry's offsets, and the original is the candidate at offset
-        ``error >> r``.  Each message is decided by the same
-        :meth:`_decide` kernel :meth:`recover` uses, computed and not
-        stored.  Recovery counters and histograms advance as
-        :meth:`recover` would advance them, committed once per call;
-        per-DUE *events* are not recorded (an exhaustive sweep would
-        only churn the bounded ring).  The oracle, and patterns without
-        a table entry, run :meth:`recover` word by word instead.
+        On the table path every candidate is the original message
+        ``m`` XOR a *delta* ``(error >> r) ^ offset``, one per offset
+        of the pattern's table entry; the original is the candidate at
+        delta 0.  The call builds one row per message, the verdict of
+        ``m ^ delta`` for each distinct delta of its patterns (``-inf``
+        when filtered), and decides each (pattern, message) in C:
+        ``itemgetter`` gathers the candidates' values in offset order,
+        and ``max`` and ``count`` give the best and the tie size.
+        :meth:`_decide` decides the words the gather cannot: filter
+        fallbacks, FIRST ties, and rows holding a NaN or ``-inf``
+        score.  Rows live for one call (``docs/performance.md``).
 
-        Raises :class:`~repro.errors.EncodingError`, as
-        ``code.encode`` would, for the first message that does not fit
-        in k bits.
+        Counters and histograms advance as :meth:`recover` would
+        advance them, committed once per pattern; per-DUE *events* are
+        not recorded (an exhaustive sweep would only churn the bounded
+        ring).  The oracle, and patterns without a table entry, run
+        :meth:`recover` word by word.  A pattern's stats, counters and
+        errors are those of a :meth:`sweep_probabilities` call for it:
+        the first table-served pattern raises
+        :class:`~repro.errors.EncodingError`, as ``code.encode`` would,
+        for the first message that does not fit in k bits.
         """
         if context is None:
             context = _DEFAULT_CONTEXT
-        if not messages:
-            return []
-        table = self._table
-        entry = None
-        if table is not None and 0 <= error < 1 << self._n:
-            # Set-up shared by every word of the pattern (no word's own
-            # syndrome is computed), so like the table build it charges
-            # no op.
-            syndrome = table.syndrome_of(error)
-            if syndrome and syndrome not in self._ce_syndromes:
-                entry = self._entry_get(syndrome)
-        if entry is None:
-            return self._sweep_by_recover(messages, error, context)
-        # The kernel indexes the 64 selector masks by a message's top
-        # six bits, so a message wider than k bits must not reach it.
-        k = self._code.k
-        if min(messages) < 0 or max(messages) >> k:
-            bad = next(m for m in messages if m < 0 or m >> k)
-            raise EncodingError(f"message 0x{bad:x} does not fit in {k} bits")
-
-        error_offset = error >> self._message_shift
-        offsets = entry.offsets
-        num_candidates = len(offsets)
-        decide = self._decide
-        verdicts = self._verdicts.table_for(context)
+        errors = tuple(errors)
+        entries = [self._sweep_entry(error) for error in errors]
+        shift = self._message_shift
+        # delta -> row column, numbered over every table-served pattern.
+        columns: dict[int, int] = {}
+        for error, entry in zip(errors, entries):
+            if entry is not None:
+                error_offset = error >> shift
+                for offset in entry.offsets:
+                    columns.setdefault(error_offset ^ offset, len(columns))
+        rows = None
         tie_first = self._tie_break is TieBreak.FIRST
-        stats: list[tuple[float, int, int]] = []
-        valid_counts: dict[int, int] = {}
-        ranker_evals = 0
-        fallbacks = 0
-        tie_count = 0
-        for message in messages:
-            received_message = message ^ error_offset
-            pool, _, tied, fell_back = decide(
-                offsets, received_message, verdicts
-            )
-            if error_offset not in tied:
-                probability = 0.0
-            elif tie_first:
-                probability = (
-                    1.0
-                    if message == min([received_message ^ t for t in tied])
-                    else 0.0
-                )
-            else:
-                probability = 1.0 / len(tied)
-            ranker_evals += len(pool)
-            if fell_back:
-                num_valid = 0
-                fallbacks += 1
-            else:
-                num_valid = len(pool)
-            if len(tied) > 1:
-                tie_count += 1
-            valid_counts[num_valid] = valid_counts.get(num_valid, 0) + 1
-            stats.append((probability, num_candidates, num_valid))
         words = len(messages)
-        self._h_candidates.observe_counts({num_candidates: words})
-        self._h_valid.observe_counts(valid_counts)
-        if self._filter.filters:
-            self._m_ops_filter.inc(words * num_candidates)
-        self._m_ranker_evals.inc(ranker_evals)
-        self._m_recoveries.inc(words)
-        self._m_ops_enum.inc(words)
-        self._m_ops_xor.inc(words * num_candidates)
-        if fallbacks:
-            self._m_fallbacks.inc(fallbacks)
-            obs_logging.emit(
-                _log, logging.DEBUG, "filter fell back (table sweep)",
-                error=f"0x{error:x}", count=fallbacks, messages=words,
+        for error, entry in zip(errors, entries):
+            if entry is None:
+                yield self._sweep_by_recover(messages, error, context)
+                continue
+            if rows is None:
+                # The rows index the 64 selector masks by a message's
+                # top six bits, so a message wider than k bits must not
+                # reach them.
+                k = self._code.k
+                bad = next((m for m in messages if m < 0 or m >> k), None)
+                if bad is not None:
+                    raise EncodingError(
+                        f"message 0x{bad:x} does not fit in {k} bits"
+                    )
+                verdicts = self._verdicts.table_for(context)
+                rows = _sweep_rows(messages, tuple(columns), verdicts)
+            error_offset = error >> shift
+            offsets = entry.offsets
+            num_candidates = len(offsets)
+            pattern_columns = [
+                columns[error_offset ^ offset] for offset in offsets
+            ]
+            if num_candidates > 1:
+                gather = itemgetter(*pattern_columns)
+            else:
+                # itemgetter of one index returns the bare item, not a
+                # sequence; a one-item slice keeps max and count working.
+                (column,) = pattern_columns
+                gather = itemgetter(slice(column, column + 1))
+            # The original's column, unless it is no candidate (a
+            # wider error that shares a 2-bit syndrome).
+            original = (
+                columns[0] if error_offset in entry.mask_by_offset else None
             )
-        if tie_count:
-            self._m_ties.inc(tie_count)
-        return stats
+            stats = []
+            valid_counts = {}
+            ranker_evals = 0
+            fallbacks = 0
+            tie_count = 0
+            for message, row in zip(messages, rows):
+                values = gather(row)
+                best = max(values)
+                tied = values.count(best)
+                if best == _FILTERED or (tie_first and tied > 1):
+                    probability, pool_size, tied, fell_back = self._decide_word(
+                        message, error_offset, offsets, verdicts
+                    )
+                else:
+                    fell_back = False
+                    pool_size = num_candidates - values.count(_FILTERED)
+                    probability = (
+                        1.0 / tied
+                        if original is not None and row[original] == best
+                        else 0.0
+                    )
+                ranker_evals += pool_size
+                if fell_back:
+                    num_valid = 0
+                    fallbacks += 1
+                else:
+                    num_valid = pool_size
+                if tied > 1:
+                    tie_count += 1
+                valid_counts[num_valid] = valid_counts.get(num_valid, 0) + 1
+                stats.append((probability, num_candidates, num_valid))
+            self._h_candidates.observe_counts({num_candidates: words})
+            self._h_valid.observe_counts(valid_counts)
+            if self._filter.filters:
+                self._m_ops_filter.inc(words * num_candidates)
+            self._m_ranker_evals.inc(ranker_evals)
+            self._m_recoveries.inc(words)
+            self._m_ops_enum.inc(words)
+            self._m_ops_xor.inc(words * num_candidates)
+            if fallbacks:
+                self._m_fallbacks.inc(fallbacks)
+                obs_logging.emit(
+                    _log, logging.DEBUG, "filter fell back (table sweep)",
+                    error=f"0x{error:x}", count=fallbacks, messages=words,
+                )
+            if tie_count:
+                self._m_ties.inc(tie_count)
+            yield stats
+
+    def _decide_word(
+        self,
+        message: int,
+        error_offset: int,
+        offsets: tuple[int, ...],
+        verdicts: ContextTable,
+    ) -> tuple[float, int, int, bool]:
+        """One sweep word decided by :meth:`_decide`: the success
+        probability of *message* under the error with message bits
+        *error_offset*, the pool and tie sizes, and whether the filter
+        fell back."""
+        received_message = message ^ error_offset
+        pool, _, tied, fell_back = self._decide(
+            offsets, received_message, verdicts
+        )
+        if error_offset not in tied:
+            probability = 0.0
+        elif self._tie_break is TieBreak.FIRST:
+            probability = (
+                1.0
+                if message == min([received_message ^ t for t in tied])
+                else 0.0
+            )
+        else:
+            probability = 1.0 / len(tied)
+        return probability, len(pool), len(tied), fell_back
+
+    def _sweep_entry(self, error: int) -> DecodeEntry | None:
+        """The table entry serving the sweep of *error*, or ``None``
+        (the oracle, or a pattern without one).  Set-up shared by every
+        word of the pattern (no word's own syndrome is computed), so
+        like the table build it charges no op."""
+        table = self._table
+        if table is None or not 0 <= error < 1 << self._n:
+            return None
+        syndrome = table.syndrome_of(error)
+        if not syndrome or syndrome in self._ce_syndromes:
+            return None
+        return self._entry_get(syndrome)
 
     def _sweep_by_recover(
         self,

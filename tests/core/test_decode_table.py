@@ -4,10 +4,12 @@ The table path's contract is *bit-identity*: ``SwdEcc()`` must return
 results indistinguishable from the cache-free oracle
 ``SwdEcc(cache=False)`` — same fields, same tie-break RNG consumption,
 same exceptions with the same messages — across every double-bit
-syndrome, from ``recover()`` and from ``sweep_probabilities()``, plus
-clean bypasses for everything the table does not cover (radius
-escalation) and clean interop for everything downstream (equality,
-hashing, pickling).  The oracle never touches the table it checks.
+syndrome, from ``recover()`` and from the sweep kernel
+(``sweep_patterns()``, and ``sweep_probabilities()``, its one-pattern
+case), plus clean bypasses for everything the table does not cover
+(radius escalation) and clean interop for everything downstream
+(equality, hashing, pickling).  The oracle never touches the table it
+checks.
 The decision kernel's per-context verdict tables are checked the same
 way — every code, context, strategy and tie-break — and for their
 bounds.
@@ -27,7 +29,7 @@ from hypothesis import strategies as st
 from repro.analysis.sweep import RecoveryStrategy
 from repro.core import cache as cache_module
 from repro.core.filters import InstructionLegalityFilter
-from repro.core.rankers import FrequencyRanker, UniformRanker
+from repro.core.rankers import CandidateRanker, FrequencyRanker, UniformRanker
 from repro.core.sideinfo import RecoveryContext
 from repro.core.swdecc import RecoveryResult, SwdEcc, TieBreak
 from repro.ecc import canonical_secded_39_32, daec_code, hsiao_39_32
@@ -35,7 +37,7 @@ from repro.ecc.candidates import CandidateEnumerator
 from repro.ecc.channel import double_bit_patterns
 from repro.ecc.code import DecodeStatus
 from repro.ecc.decode_table import DecodeTable
-from repro.errors import DecodingError, EncodingError
+from repro.errors import DecodingError, EncodingError, ReproError
 from repro.isa.decoder import (
     ALL_SELECTOR_FIELDS,
     SELECTOR_FIELD_MASKS,
@@ -371,37 +373,6 @@ def _swept(engine_for, drive):
     }
 
 
-@pytest.mark.parametrize("tie_break", list(TieBreak))
-@pytest.mark.parametrize("strategy", list(RecoveryStrategy))
-def test_sweep_matches_word_by_word_recovery_on_all_741_patterns(
-    strategy, tie_break
-):
-    """The table sweep equals ``_sweep_by_recover`` (one reference
-    ``recover()`` per word) on every pattern: rates, candidate and
-    valid counts, every ``swdecc.*`` counter and histogram (buckets,
-    count, sum, min, max) and the decision op counters."""
-    window = IMAGE.words[:3]
-    swept, swept_metrics = _swept(
-        lambda: _strategy_engine(strategy, tie_break, True),
-        lambda engine: [
-            engine.sweep_probabilities(window, pattern, CONTEXT)
-            for pattern in PATTERNS
-        ],
-    )
-    recovered, recovered_metrics = _swept(
-        lambda: _strategy_engine(strategy, tie_break, False),
-        lambda engine: [
-            engine._sweep_by_recover(window, pattern, CONTEXT)
-            for pattern in PATTERNS
-        ],
-    )
-    assert swept == recovered
-    assert swept_metrics == recovered_metrics
-    assert swept_metrics["swdecc.recoveries"]["value"] == 3 * len(PATTERNS)
-    for name in ("swdecc.candidates", "swdecc.valid_messages"):
-        assert swept_metrics[name]["count"] == 3 * len(PATTERNS)
-
-
 # ---------------------------------------------------------------------------
 # Result interop (lazy fields, pickling, copying)
 # ---------------------------------------------------------------------------
@@ -592,6 +563,197 @@ def test_kernel_pinned_fallback_and_tie_words(code_name, strategy, tie_break):
             for _ in range(3):
                 _recover_both(fast, reference, received, context)
     assert fast._rng.random() == reference._rng.random()
+
+
+# ---------------------------------------------------------------------------
+# The sweep kernel: many patterns per call
+# ---------------------------------------------------------------------------
+
+
+def _fallback_sweep_word(code_name):
+    """The pinned fallback word of *code_name* as a sweep input: a
+    message and a 2-bit error whose every candidate the legality filter
+    rejects."""
+    code = KERNEL_CODES[code_name]
+    received = PINNED_WORDS[code_name]["fallback"]
+    table = code.decode_table
+    mask = table.entry(table.syndrome_of(received)).masks[0]
+    return (received ^ mask) >> (code.n - code.k), mask
+
+
+@pytest.mark.parametrize("tie_break", list(TieBreak))
+@pytest.mark.parametrize("strategy", list(RecoveryStrategy))
+@pytest.mark.parametrize("code_name", sorted(KERNEL_CODES))
+def test_sweep_matches_word_by_word_recovery_on_all_2_bit_patterns(
+    code_name, strategy, tie_break
+):
+    """Every table-served catalog code: one ``sweep_patterns()`` call
+    over all its 2-bit patterns, and one ``sweep_probabilities()`` call
+    per pattern, equal ``_sweep_by_recover`` (one reference
+    ``recover()`` per word) — rates, candidate and valid counts, every
+    ``swdecc.*`` counter and histogram (buckets, count, sum, min, max)
+    and the decision op counters.  The window ends with the code's
+    pinned fallback message; daec's single-candidate patterns gather
+    one column."""
+    code = KERNEL_CODES[code_name]
+    patterns = KERNEL_PATTERNS[code_name]
+    fallback_message, _ = _fallback_sweep_word(code_name)
+    window = [*IMAGE.words[:3], fallback_message]
+
+    def engine_for(cache):
+        return lambda: _strategy_engine(strategy, tie_break, cache, code)
+
+    swept, swept_metrics = _swept(
+        engine_for(True),
+        lambda engine: list(engine.sweep_patterns(window, patterns, CONTEXT)),
+    )
+    one_by_one, one_by_one_metrics = _swept(
+        engine_for(True),
+        lambda engine: [
+            engine.sweep_probabilities(window, pattern, CONTEXT)
+            for pattern in patterns
+        ],
+    )
+    recovered, recovered_metrics = _swept(
+        engine_for(False),
+        lambda engine: [
+            engine._sweep_by_recover(window, pattern, CONTEXT)
+            for pattern in patterns
+        ],
+    )
+    assert swept == one_by_one == recovered
+    assert swept_metrics == one_by_one_metrics == recovered_metrics
+    words = len(window) * len(patterns)
+    assert swept_metrics["swdecc.recoveries"]["value"] == words
+    for name in ("swdecc.candidates", "swdecc.valid_messages"):
+        assert swept_metrics[name]["count"] == words
+    if strategy is not RecoveryStrategy.RANDOM_CANDIDATE:
+        assert swept_metrics["swdecc.filter_fallbacks"]["value"] > 0
+    if code_name == "daec-41-32":
+        assert swept_metrics["swdecc.candidates"]["min"] == 1
+
+
+#: A sweep error: flipped bit positions (none to four, folded into the
+#: code's width), the code's pinned fallback error, or a word wider
+#: than the code.
+_SWEEP_ERRORS = st.one_of(
+    st.lists(st.integers(min_value=0, max_value=63), max_size=4, unique=True),
+    st.sampled_from(["fallback", "wide"]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    code_name=st.sampled_from(sorted(KERNEL_CODES)),
+    strategy=st.sampled_from(RecoveryStrategy),
+    tie_break=st.sampled_from(TieBreak),
+    messages=st.lists(
+        st.integers(min_value=0, max_value=(1 << 32) - 1),
+        min_size=1, max_size=5,
+    ),
+    with_fallback=st.booleans(),
+    specs=st.lists(_SWEEP_ERRORS, min_size=1, max_size=6),
+)
+def test_sweep_patterns_match_oracle_per_error(
+    code_name, strategy, tie_break, messages, with_fallback, specs
+):
+    """Mixed error lists — codewords and correctable words mid-list,
+    2-bit DUEs, 3- and 4-bit errors with and without a table entry, the
+    all-filtered fallback word, errors wider than the code — yield,
+    error by error, what the oracle's ``sweep_probabilities()`` returns,
+    and raise its error at the same pattern."""
+    code = KERNEL_CODES[code_name]
+    fallback_message, fallback_error = _fallback_sweep_word(code_name)
+    if with_fallback:
+        messages = [*messages, fallback_message]
+    errors = []
+    for spec in specs:
+        if spec == "fallback":
+            errors.append(fallback_error)
+        elif spec == "wide":
+            errors.append(1 << code.n)
+        else:
+            error = 0
+            for position in spec:
+                error ^= 1 << (code.n - 1 - position % code.n)
+            errors.append(error)
+    fast = _strategy_engine(strategy, tie_break, True, code)
+    oracle = _strategy_engine(strategy, tie_break, False, code)
+    swept = fast.sweep_patterns(messages, errors, CONTEXT)
+    for error in errors:
+        try:
+            expected = oracle.sweep_probabilities(messages, error, CONTEXT)
+        except ReproError as oracle_error:
+            with pytest.raises(type(oracle_error)) as fast_error:
+                next(swept)
+            assert str(fast_error.value) == str(oracle_error)
+            return
+        assert next(swept) == expected
+    assert next(swept, None) is None
+
+
+#: Mnemonics :class:`_OddScoreRanker` scores oddly.
+_ODD_MNEMONICS = frozenset({"addiu", "lw", "sw", "addu", "beq", "sll"})
+
+
+class _OddScoreRanker(CandidateRanker):
+    """Scores a legal word by its mnemonic's length, except *odd* (NaN
+    or -inf) for :data:`_ODD_MNEMONICS`: scores ``max()`` cannot order
+    against the sweep's -inf for a filtered candidate."""
+
+    name = "odd-scores"
+
+    def __init__(self, odd: float) -> None:
+        self._odd = odd
+
+    def _score(self, spec):
+        if spec is None:
+            return 0.0
+        if spec.mnemonic in _ODD_MNEMONICS:
+            return self._odd
+        return len(spec.mnemonic)
+
+    def score(self, message, context):
+        return self._score(_spec_for_word(message))
+
+    def spec_scorer(self):
+        return lambda spec, context: self._score(spec)
+
+
+@pytest.mark.parametrize("tie_break", list(TieBreak))
+def test_sweep_decides_unorderable_scores_with_decide(tie_break):
+    """A row holding a -inf or NaN score is decided by ``_decide``.  A
+    -inf score sweeps as the oracle recovers; NaN, which the oracle
+    cannot rank, sweeps as ``_decide`` decides each word."""
+    window = IMAGE.words[:6]
+    shift = CODE.n - CODE.k
+    for odd in (float("-inf"), float("nan")):
+        ranker = _OddScoreRanker(odd)
+        fast = SwdEcc(CODE, ranker=ranker, tie_break=tie_break)
+        assert fast.decode_table is not None
+        swept = list(fast.sweep_patterns(window, PATTERNS, CONTEXT))
+        verdicts = fast._verdicts.table_for(CONTEXT)
+        assert odd in verdicts.values()
+        if odd == odd:
+            oracle = SwdEcc(CODE, ranker=ranker, tie_break=tie_break, cache=False)
+            assert swept == [
+                oracle.sweep_probabilities(window, pattern, CONTEXT)
+                for pattern in PATTERNS
+            ]
+            continue
+        expected = []
+        for pattern in PATTERNS:
+            offsets = fast._sweep_entry(pattern).offsets
+            stats = []
+            for message in window:
+                probability, pool, _, fell_back = fast._decide_word(
+                    message, pattern >> shift, offsets, verdicts
+                )
+                stats.append(
+                    (probability, len(offsets), 0 if fell_back else pool)
+                )
+            expected.append(stats)
+        assert swept == expected
 
 
 def test_context_less_calls_share_one_default_context():

@@ -16,6 +16,9 @@ grouped or which path serves them.  Hypothesis drives random
   charges the oracle's ops except XOR, of which it charges fewer;
 - a table sweep charges the enumerations, filter evals and ranker
   evals that ``recover()`` charges for the same words;
+- one ``sweep_patterns()`` call over many patterns commits every
+  ``swdecc.*`` and ``ops.*`` metric that per-pattern
+  ``sweep_probabilities()`` calls commit, up to the same error;
 - the per-context verdict tables change no charge: interleaving
   contexts word by word charges (and answers) what serving each
   context alone does, and warm tables charge what cold ones do.
@@ -45,6 +48,7 @@ from repro.core.sideinfo import RecoveryContext
 from repro.core.swdecc import SwdEcc, TieBreak
 from repro.ecc import canonical_secded_39_32
 from repro.ecc.channel import double_bit_patterns
+from repro.errors import ReproError
 from repro.isa.decoder import ALL_SELECTOR_FIELDS
 from repro.obs import metrics as obs_metrics
 from repro.obs.energy import op_counts
@@ -228,6 +232,80 @@ def test_sweep_charges_recover_ops(messages, bits):
     assert swept["ops.candidate_enumerations"] == len(messages)
     for op in _SWEEP_OPS:
         assert swept[op] == recovered[op], op
+
+
+def _metered(drive):
+    """Run *drive(engine)* on a fresh table engine under a fresh
+    registry; return its output and every ``swdecc.*`` and ``ops.*``
+    metric it committed."""
+    registry = obs_metrics.MetricsRegistry()
+    previous = obs_metrics.set_registry(registry)
+    try:
+        output = drive(
+            SwdEcc(_WORD_CODE, tie_break=TieBreak.FIRST, rng=random.Random(0))
+        )
+    finally:
+        obs_metrics.set_registry(previous)
+    return output, {
+        name: data
+        for name, data in registry.as_dict().items()
+        if name.startswith(("swdecc.", "ops."))
+    }
+
+
+#: A sweep error: up to four flipped bits (a codeword, a correctable
+#: word, a 2-bit DUE, or a wider error), or a word wider than the code.
+_SWEEP_ERROR = st.one_of(
+    st.lists(
+        st.integers(min_value=0, max_value=_WORD_CODE.n - 1),
+        max_size=4, unique=True,
+    ).map(lambda bits: sum(1 << bit for bit in bits)),
+    st.just(1 << _WORD_CODE.n),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    messages=st.lists(
+        st.integers(min_value=0, max_value=(1 << 32) - 1),
+        min_size=1, max_size=6,
+    ),
+    errors=st.lists(_SWEEP_ERROR, min_size=1, max_size=6),
+    wide=st.booleans(),
+)
+def test_sweep_patterns_commit_what_per_pattern_calls_commit(
+    messages, errors, wide
+):
+    """One ``sweep_patterns()`` call commits, pattern by pattern, the
+    counters and histograms that one ``sweep_probabilities()`` call per
+    pattern commits, and raises the same error at the same pattern
+    after the same commits: a non-DUE, a word with no candidates, or
+    (*wide*) a message wider than k bits."""
+    if wide:
+        messages = [*messages, 1 << 32]
+    context = RecoveryContext.for_instructions(_TABLE)
+
+    def kernel(engine):
+        swept = []
+        try:
+            for stats in engine.sweep_patterns(messages, errors, context):
+                swept.append(stats)
+        except ReproError as error:
+            swept.append(repr(error))
+        return swept
+
+    def per_pattern(engine):
+        swept = []
+        try:
+            for error in errors:
+                swept.append(
+                    engine.sweep_probabilities(messages, error, context)
+                )
+        except ReproError as error:
+            swept.append(repr(error))
+        return swept
+
+    assert _metered(kernel) == _metered(per_pattern)
 
 
 #: Received word -> its message bits.
