@@ -3,8 +3,10 @@
 The default-on instrumentation (counters, histograms, event records)
 must not tax the recovery hot path: an instrumented ``SwdEcc.recover``
 is asserted to stay within 10% of a baseline engine wired to the null
-registry and a discarding event log.  Spans are opt-in and disabled
-here, matching the tier-1 configuration.
+registry and a discarding event log.  The baseline counts nothing: the
+table path's per-class tally is never committed under the null
+registry, so its bookkeeping is discarded with the rest.  Spans are
+opt-in and disabled here, matching the tier-1 configuration.
 
 Timing uses min-of-N batches: each batch runs the same fixed set of
 recover calls, and the minimum batch time is the least-noisy estimate

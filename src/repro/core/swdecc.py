@@ -36,7 +36,6 @@ import enum
 import logging
 import random
 import time
-from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from operator import itemgetter
@@ -414,6 +413,24 @@ class SwdEcc:
                 # selector key -> score if the filter keeps the key's
                 # spec, else None; one table per context.
                 self._verdicts = ContextTables(_verdict_fill(predicate, scorer))
+                # A served word's metrics are constants of its decision
+                # row's class (candidates, valid, tie size, fell back),
+                # so the table path counts words per class, and reads
+                # commit them.
+                self._tally = registry.tally(
+                    self,
+                    counters=(
+                        self._m_recoveries,
+                        self._m_ops_enum,
+                        self._m_ops_syndromes,
+                        self._m_ops_xor,
+                        self._m_ties,
+                        self._m_fallbacks,
+                    ),
+                    histograms=(self._h_candidates, self._h_valid),
+                )
+                self._hits = self._tally.hits
+                self._word_classes: dict[tuple[int, int, int, bool], int] = {}
         # (syndrome, selector base) -> decision row, per context.
         self._row_cache = ContextCache()
         self._n = code.n
@@ -577,7 +594,11 @@ class SwdEcc:
         Op accounting charges what the lookup actually performs — one
         syndrome compute, one enumeration, a handful of XORs, plus
         filter/ranker evaluations only when a decision row is built
-        (however many verdict-table misses that build fills).
+        (however many verdict-table misses that build fills).  A served
+        word's charges are constants of its row's class, so the word
+        adds 1 to its class in the engine's tally, and reads commit
+        them (:class:`~repro.obs.metrics.Tally`); a word that raises or
+        has no entry charges its syndrome compute on its way out.
         """
         start_ns = time.perf_counter_ns()
         # Inlined DecodeTable.syndrome_of: same range check (negative
@@ -601,17 +622,19 @@ class SwdEcc:
             syndrome = 0
             for low, mask, chunk in chunks:
                 syndrome ^= chunk[(received >> low) & mask]
-        self._m_ops_syndromes._value += 1
         if syndrome == 0:
+            self._m_ops_syndromes.inc()
             raise DecodingError(
                 "received word is a codeword, not a DUE; nothing to enumerate"
             )
         if syndrome in self._ce_syndromes:
+            self._m_ops_syndromes.inc()
             raise DecodingError(
                 "received word is a correctable 1-bit error, not a DUE"
             )
         entry = self._entry_get(syndrome)
         if entry is None:
+            self._m_ops_syndromes.inc()
             return None
         received_message = received >> self._message_shift
         base = received_message & ALL_SELECTOR_FIELDS
@@ -619,7 +642,7 @@ class SwdEcc:
         row_key = (syndrome << 32) | base
         row = rows.get(row_key)
         if row is None:
-            # (pool, scores, tied, fell_back, num_valid, bucket indices)
+            # (pool, scores, tied, fell_back, num_valid, word class)
             row = self._decide(
                 entry.offsets, base, self._verdicts.table_for(context)
             )
@@ -627,13 +650,11 @@ class SwdEcc:
                 self._m_ops_filter.inc(len(entry.offsets))
             self._m_ranker_evals.inc(len(row[0]))
             num_valid = 0 if row[3] else len(row[0])
-            # Histogram observations on this path are row constants, so
-            # their bucket indices are resolved here, once per row.
-            row += (
-                num_valid,
-                bisect_left(self._h_candidates.buckets, len(entry.offsets)),
-                bisect_left(self._h_valid.buckets, num_valid),
-            )
+            key = (len(entry.offsets), num_valid, len(row[2]), row[3])
+            word_class = self._word_classes.get(key)
+            if word_class is None:
+                word_class = self._add_word_class(key)
+            row += (num_valid, word_class)
             rows[row_key] = row
         tied_offsets = row[2]
         fell_back = row[3]
@@ -659,39 +680,14 @@ class SwdEcc:
         latency_ns = time.perf_counter_ns() - start_ns
         num_candidates = len(entry.offsets)
         num_valid = row[4]
-        # Counter.inc minus its non-negativity guard (these amounts are
-        # constants >= 0), and Histogram.observe with the row's
-        # precomputed bucket indices: the per-call bookkeeping storm is
-        # a measurable slice of a ~5 us fast path.
-        self._m_ops_enum._value += 1
-        self._m_ops_xor._value += tied + 1
-        self._m_recoveries._value += 1
+        self._hits[row[5]] += 1
         if fell_back:
-            self._m_fallbacks.inc()
             obs_logging.emit(
                 _log, logging.DEBUG, "filter fell back",
                 received=f"0x{received:x}",
                 candidates=num_candidates,
                 latency_ns=latency_ns,
             )
-        if tied > 1:
-            self._m_ties._value += 1
-        histogram = self._h_candidates
-        histogram._bucket_counts[row[5]] += 1
-        histogram._count += 1
-        histogram._sum += num_candidates
-        if histogram._min is None or num_candidates < histogram._min:
-            histogram._min = num_candidates
-        if histogram._max is None or num_candidates > histogram._max:
-            histogram._max = num_candidates
-        histogram = self._h_valid
-        histogram._bucket_counts[row[6]] += 1
-        histogram._count += 1
-        histogram._sum += num_valid
-        if histogram._min is None or num_valid < histogram._min:
-            histogram._min = num_valid
-        if histogram._max is None or num_valid > histogram._max:
-            histogram._max = num_valid
         # tuple.__new__ skips the namedtuple keyword/default wrapper;
         # the trailing None/None are DueEvent's address/true_message
         # defaults.
@@ -721,6 +717,20 @@ class SwdEcc:
             "_row": row,
         })
         return result
+
+    def _add_word_class(self, key: tuple[int, int, int, bool]) -> int:
+        """Declare the tally class of table-served words whose rows have
+        *key*, ``(candidates, valid, tie size, fell back)``, with the
+        charges each of its words makes; returns its index.  Every word
+        of a class makes the same metric updates, whichever row,
+        context or row-memo generation serves it."""
+        num_candidates, num_valid, tied, fell_back = key
+        # In the order of the tally's counters and histograms.
+        index = self._word_classes[key] = self._tally.add_class(
+            amounts=(1, 1, 1, tied + 1, int(tied > 1), int(fell_back)),
+            values=(num_candidates, num_valid),
+        )
+        return index
 
     def _decide(
         self, offsets: tuple[int, ...], base: int, verdicts: ContextTable

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import sys
 import time
+from collections import Counter
 
 from repro.bits import bit_mask
 from repro.ecc.code import LinearBlockCode
@@ -220,19 +221,26 @@ class DecodeTable:
         return self._entries
 
     def _measure_resident_bytes(self) -> int:
-        """Container-level size estimate of the materialized tables."""
+        """Container-level size estimate of the materialized tables:
+        every container plus every int in the masks, offsets and chunk
+        tables.  Equal ints have equal sizes, so the ints are counted
+        by value in C and sized once per distinct value."""
         total = sys.getsizeof(self._entries)
+        values = Counter()
         for entry in self._entries.values():
             total += (
                 sys.getsizeof(entry.masks)
                 + sys.getsizeof(entry.offsets)
                 + sys.getsizeof(entry.mask_by_offset)
             )
-            total += sum(map(sys.getsizeof, entry.masks))
-            total += sum(map(sys.getsizeof, entry.offsets))
+            values.update(entry.masks)
+            values.update(entry.offsets)
         for _, _, table in self._chunks:
-            total += sys.getsizeof(table) + sum(map(sys.getsizeof, table))
-        return total
+            total += sys.getsizeof(table)
+            values.update(table)
+        return total + sum(
+            sys.getsizeof(value) * count for value, count in values.items()
+        )
 
     def _syndrome_unchecked(self, received: int) -> int:
         syndrome = 0

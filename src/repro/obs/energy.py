@@ -190,13 +190,7 @@ def op_counts(
     """
     registry = registry if registry is not None else obs_metrics.get_registry()
     model = model if model is not None else _model
-    counts: dict[str, int | float] = {}
-    for name in model.joules_per_op:
-        metric = registry.get(name)
-        counts[name] = (
-            metric.value if isinstance(metric, obs_metrics.Counter) else 0
-        )
-    return counts
+    return registry.counter_values(model.joules_per_op)
 
 
 def joules_of_counts(

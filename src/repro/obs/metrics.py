@@ -10,14 +10,27 @@ Collection is default-on.  To measure the cost of instrumentation
 itself (``benchmarks/bench_obs_overhead.py``) install
 :data:`NULL_REGISTRY`, whose metrics accept updates and discard them.
 
+A loop too hot for even one ``inc`` per event keeps a :class:`Tally`
+instead: it adds 1 to ``hits[i]`` per event of class *i*, where every
+event of a class makes the same metric updates.  Reads commit: before
+a counter or histogram is read, and before a registry is snapshot or
+reset, every tally's new hits are written through
+:meth:`Counter.inc` and :meth:`Histogram.observe_counts`.  Only this
+module writes a metric's fields.
+
 Naming convention: dotted lowercase paths, subsystem first —
 ``swdecc.recoveries``, ``memory.reads``, ``sweep.benchmark_wall_seconds``.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+import weakref
 from bisect import bisect_left
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from itertools import compress
+from operator import mul, sub
 
 from repro.errors import ObservabilityError
 
@@ -27,6 +40,7 @@ __all__ = [
     "Histogram",
     "Info",
     "MetricsRegistry",
+    "Tally",
     "NULL_REGISTRY",
     "DEFAULT_TIME_BUCKETS",
     "DEFAULT_COUNT_BUCKETS",
@@ -63,6 +77,7 @@ class Counter:
     @property
     def value(self) -> int | float:
         """Current count."""
+        _commit_tallies()
         return self._value
 
     def inc(self, amount: int | float = 1) -> None:
@@ -79,6 +94,10 @@ class Counter:
 
     def as_dict(self) -> dict[str, object]:
         """JSON-friendly snapshot."""
+        _commit_tallies()
+        return self._as_dict()
+
+    def _as_dict(self) -> dict[str, object]:
         return {"type": "counter", "name": self.name, "value": self._value}
 
 
@@ -116,6 +135,8 @@ class Gauge:
     def as_dict(self) -> dict[str, object]:
         """JSON-friendly snapshot."""
         return {"type": "gauge", "name": self.name, "value": self._value}
+
+    _as_dict = as_dict  # no tally writes a gauge
 
 
 class Histogram:
@@ -196,30 +217,39 @@ class Histogram:
     @property
     def count(self) -> int:
         """Number of observations."""
+        _commit_tallies()
         return self._count
 
     @property
     def sum(self) -> float:
         """Sum of observations."""
+        _commit_tallies()
         return self._sum
 
     @property
     def min(self) -> float | None:
         """Smallest observation, or ``None`` when empty."""
+        _commit_tallies()
         return self._min
 
     @property
     def max(self) -> float | None:
         """Largest observation, or ``None`` when empty."""
+        _commit_tallies()
         return self._max
 
     @property
     def mean(self) -> float | None:
         """Arithmetic mean, or ``None`` when empty."""
+        _commit_tallies()
         return self._sum / self._count if self._count else None
 
     def bucket_counts(self) -> list[tuple[float, int]]:
         """(upper bound, count) pairs; the overflow bound is ``inf``."""
+        _commit_tallies()
+        return self._bucket_pairs()
+
+    def _bucket_pairs(self) -> list[tuple[float, int]]:
         bounds = [*self.buckets, float("inf")]
         return list(zip(bounds, self._bucket_counts))
 
@@ -235,13 +265,14 @@ class Histogram:
         """
         if not 0.0 <= q <= 1.0:
             raise ObservabilityError(f"quantile {q} outside [0, 1]")
+        _commit_tallies()
         if not self._count:
             return None
         if q == 0.0:
             return self._min
         rank = q * self._count
         cumulative = 0
-        for bound, count in self.bucket_counts():
+        for bound, count in self._bucket_pairs():
             if not count:
                 continue
             cumulative += count
@@ -288,6 +319,10 @@ class Histogram:
 
     def as_dict(self) -> dict[str, object]:
         """JSON-friendly snapshot."""
+        _commit_tallies()
+        return self._as_dict()
+
+    def _as_dict(self) -> dict[str, object]:
         return {
             "type": "histogram",
             "name": self.name,
@@ -295,10 +330,10 @@ class Histogram:
             "sum": self._sum,
             "min": self._min,
             "max": self._max,
-            "mean": self.mean,
+            "mean": self._sum / self._count if self._count else None,
             "buckets": [
                 {"le": bound, "count": count}
-                for bound, count in self.bucket_counts()
+                for bound, count in self._bucket_pairs()
             ],
         }
 
@@ -335,6 +370,139 @@ class Info:
     def as_dict(self) -> dict[str, object]:
         """JSON-friendly snapshot."""
         return {"type": "info", "name": self.name, "value": self._value}
+
+    _as_dict = as_dict  # no tally writes an info metric
+
+
+class Tally:
+    """Per-class event counts that a hot loop keeps and reads commit.
+
+    For a loop whose every event of one *class* makes the same metric
+    updates (a table-served recovery's counters and histogram values
+    are constants of its decision row): :meth:`add_class` declares a
+    class's updates and returns its index, and the loop adds 1 to
+    ``hits[index]`` per event, one list store instead of an update per
+    metric.  Before any counter or histogram is read, and before a
+    registry is snapshot or reset, each live tally commits the events
+    since its last commit, ``events x updates`` summed over classes,
+    through :meth:`Counter.inc` and :meth:`Histogram.observe_counts`.
+    When its owner is garbage-collected it commits once more and
+    retires.
+
+    Only the owner's thread calls :meth:`add_class` and changes
+    ``hits``.  Reads on other threads commit under one lock, so two
+    concurrent reads never commit an event twice.  Get one from
+    :meth:`MetricsRegistry.tally`.
+    """
+
+    __slots__ = (
+        "hits", "_counters", "_histograms", "_amounts", "_values",
+        "_committed",
+    )
+
+    def __init__(
+        self, counters: Sequence[Counter], histograms: Sequence[Histogram]
+    ) -> None:
+        #: Events per class, in :meth:`add_class` order.
+        self.hits: list[int] = []
+        self._counters = tuple(counters)
+        self._histograms = tuple(histograms)
+        # One column per metric: its amount or value per class.
+        self._amounts = tuple([] for _ in self._counters)
+        self._values = tuple([] for _ in self._histograms)
+        self._committed: list[int] = []
+
+    def add_class(
+        self, amounts: Sequence[int | float], values: Sequence[float]
+    ) -> int:
+        """Declare a class whose every event adds ``amounts[j]`` to the
+        tally's counter *j* and observes ``values[j]`` in its histogram
+        *j*; returns its index into ``hits``.  Raises
+        :class:`~repro.errors.ObservabilityError` for a negative amount
+        or a length that does not match the tally's metrics."""
+        if (
+            len(amounts) != len(self._counters)
+            or len(values) != len(self._histograms)
+            or min(amounts, default=0) < 0
+        ):
+            raise ObservabilityError(
+                f"a class of this tally adds {len(self._counters)} "
+                f"amounts >= 0 and observes {len(self._histograms)} "
+                f"values, not {amounts} and {values}"
+            )
+        for column, amount in zip(self._amounts, amounts):
+            column.append(amount)
+        for column, value in zip(self._values, values):
+            column.append(value)
+        # Appended after its class: a commit reads both.
+        self.hits.append(0)
+        return len(self.hits) - 1
+
+    def _commit(self) -> None:
+        """Commit the events since the last commit (under the lock)."""
+        hits = self.hits[:]  # the owner's thread may add meanwhile
+        done = self._committed
+        # Claimed before any write, so a commit re-entered from a
+        # finalizer on this thread finds nothing left to commit.
+        self._committed = hits
+        events = [*map(sub, hits, done), *hits[len(done):]]
+        classes = [*compress(range(len(events)), events)]
+        counts = [*compress(events, events)]
+        for counter, amounts in zip(self._counters, self._amounts):
+            total = sum(map(mul, map(amounts.__getitem__, classes), counts))
+            if total:
+                counter.inc(total)
+        for histogram, values in zip(self._histograms, self._values):
+            by_value: dict[float, int] = {}
+            for value, count in zip(map(values.__getitem__, classes), counts):
+                by_value[value] = by_value.get(value, 0) + count
+            histogram.observe_counts(by_value)
+
+
+#: Live tallies.  Replaced, never mutated, under the lock, so the read
+#: hook iterates it without taking the lock.
+_tallies: tuple[Tally, ...] = ()
+_tally_lock = threading.RLock()
+
+
+def _commit_tallies() -> None:
+    """The read hook: commit every live tally's new events.  With none
+    pending it costs one list comparison per live tally."""
+    for tally in _tallies:
+        if tally.hits != tally._committed:
+            break
+    else:
+        return
+    with _tally_lock:
+        for tally in _tallies:
+            if tally.hits != tally._committed:
+                tally._commit()
+
+
+def _track(tally: Tally, owner: object) -> None:
+    global _tallies
+    with _tally_lock:
+        _tallies = (*_tallies, tally)
+    weakref.finalize(owner, _retire, tally).atexit = False
+
+
+def _retire(tally: Tally) -> None:
+    """Commit a collected owner's last events and stop tracking them."""
+    global _tallies
+    with _tally_lock:
+        _tallies = tuple(live for live in _tallies if live is not tally)
+        tally._commit()
+
+
+def _new_lock_after_fork() -> None:
+    # A fork taken while another thread held the lock must not leave
+    # the child's reads waiting for a thread that does not exist there.
+    global _tally_lock
+    _tally_lock = threading.RLock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_lock_after_fork)
 
 
 #: Callbacks that refresh *derived* metrics right before a snapshot.
@@ -432,11 +600,35 @@ class MetricsRegistry:
         """The metric registered under *name*, or ``None``."""
         return self._metrics.get(name)
 
+    def tally(
+        self,
+        owner: object,
+        counters: Sequence[Counter],
+        histograms: Sequence[Histogram] = (),
+    ) -> Tally:
+        """A new :class:`Tally` of *counters* and *histograms* for
+        *owner*'s hot loop, committed on every metric read and once
+        more when *owner* is garbage-collected."""
+        tally = Tally(counters, histograms)
+        _track(tally, owner)
+        return tally
+
     def names(self) -> list[str]:
         """Registered metric names, sorted."""
         return sorted(self._metrics)
 
+    def counter_values(self, names: Iterable[str]) -> dict[str, int | float]:
+        """The value of each counter in *names*, 0 for a name that is
+        not a counter here; pending tallies are committed once."""
+        _commit_tallies()
+        values: dict[str, int | float] = {}
+        for name in names:
+            metric = self._metrics.get(name)
+            values[name] = metric._value if isinstance(metric, Counter) else 0
+        return values
+
     def __iter__(self):
+        _commit_tallies()
         run_collectors()
         for name in self.names():
             yield self._metrics[name]
@@ -446,7 +638,10 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         """Zero every metric, keeping registrations (cached references
-        held by instrumented objects stay valid)."""
+        held by instrumented objects stay valid).  Pending tallies are
+        committed first, so no event from before the reset surfaces
+        after it."""
+        _commit_tallies()
         for metric in self._metrics.values():
             metric.reset()
 
@@ -457,8 +652,9 @@ class MetricsRegistry:
 
     def as_dict(self) -> dict[str, dict[str, object]]:
         """Snapshot of every metric, keyed by name."""
+        _commit_tallies()
         run_collectors()
-        return {name: self._metrics[name].as_dict() for name in self.names()}
+        return {name: self._metrics[name]._as_dict() for name in self.names()}
 
 
 class _NullCounter(Counter):
@@ -534,6 +730,16 @@ class NullRegistry(MetricsRegistry):
 
     def info(self, name: str, help: str = "") -> Info:
         return self._get_or_create(name, Info, lambda: _NullInfo(name, help))
+
+    def tally(
+        self,
+        owner: object,
+        counters: Sequence[Counter],
+        histograms: Sequence[Histogram] = (),
+    ) -> Tally:
+        # Never committed: what a null-registry engine tallies is
+        # counted nowhere.
+        return Tally(counters, histograms)
 
 
 add_collector(_cache_hit_rate_collector)

@@ -21,6 +21,7 @@ import copy
 import dataclasses
 import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +50,7 @@ from repro.obs import metrics as obs_metrics
 from repro.program.profiles import BENCHMARK_NAMES
 from repro.program.stats import FrequencyTable
 from repro.program.synth import synthesize_benchmark
+from repro.service.catalog import ServiceCatalog
 
 CODE = canonical_secded_39_32()
 PATTERNS = tuple(pattern.vector for pattern in double_bit_patterns(CODE.n))
@@ -117,6 +119,25 @@ def test_precompile_is_idempotent():
     assert clone._decode_table is None
     assert clone.decode_table is not table
     assert clone.decode_table.entries.keys() == table.entries.keys()
+
+
+@pytest.mark.parametrize("code_id", ServiceCatalog().code_ids())
+def test_resident_bytes_sum_every_object(code_id):
+    """The size estimate counts ints by value; it must equal sizing
+    every container and every int object one by one."""
+    table = ServiceCatalog().code(code_id).decode_table
+    total = sys.getsizeof(table.entries)
+    for entry in table.entries.values():
+        total += (
+            sys.getsizeof(entry.masks)
+            + sys.getsizeof(entry.offsets)
+            + sys.getsizeof(entry.mask_by_offset)
+            + sum(map(sys.getsizeof, entry.masks))
+            + sum(map(sys.getsizeof, entry.offsets))
+        )
+    for _, _, chunk in table.chunks:
+        total += sys.getsizeof(chunk) + sum(map(sys.getsizeof, chunk))
+    assert table.resident_bytes == total
 
 
 def test_build_registers_metrics():

@@ -21,7 +21,13 @@ grouped or which path serves them.  Hypothesis drives random
   ``sweep_probabilities()`` calls commit, up to the same error;
 - the per-context verdict tables change no charge: interleaving
   contexts word by word charges (and answers) what serving each
-  context alone does, and warm tables charge what cold ones do.
+  context alone does, and warm tables charge what cold ones do;
+- the table path's per-class tally commits exactly what per-word
+  recovery writes (each word's counters and histogram values, read
+  off its event), whenever the registry is read: mid-stream, across
+  context switches, past the row memo's cap, after the engine is gone,
+  and while another thread reads;
+- an engine built under ``NULL_REGISTRY`` counts nothing.
 
 Each measurement swaps in an empty process registry *before*
 constructing the engine, which caches its counter references at
@@ -38,6 +44,8 @@ from __future__ import annotations
 
 import gc
 import random
+import sys
+import threading
 import weakref
 
 from hypothesis import given, settings
@@ -48,8 +56,9 @@ from repro.core.sideinfo import RecoveryContext
 from repro.core.swdecc import SwdEcc, TieBreak
 from repro.ecc import canonical_secded_39_32
 from repro.ecc.channel import double_bit_patterns
-from repro.errors import ReproError
+from repro.errors import DecodingError, ReproError
 from repro.isa.decoder import ALL_SELECTOR_FIELDS
+from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs.energy import op_counts
 from repro.program.profiles import BENCHMARK_NAMES
@@ -462,3 +471,289 @@ def test_recycled_context_id_gets_its_own_verdicts():
         held.append(second)
     assert id(second) == first_id, "no context reused the dropped id"
     assert engine.recover(word, second).chosen_message == expected_second
+
+
+def _metrics_of(registry):
+    """Every ``swdecc.*`` and ``ops.*`` metric of *registry*."""
+    return {
+        name: data
+        for name, data in registry.as_dict().items()
+        if name.startswith(("swdecc.", "ops."))
+    }
+
+
+def _read(registry, turn):
+    """One read of *registry*, a different kind each turn."""
+    kind = turn % 4
+    if kind == 0:
+        registry.as_dict()
+    elif kind == 1:
+        registry.counter("ops.xor").value
+    elif kind == 2:
+        registry.histogram("swdecc.valid_messages").bucket_counts()
+    else:
+        op_counts(registry)
+
+
+def _tallied(requests, read_every=0, drop_engine=False):
+    """Serve ``(context, word)`` *requests* on a fresh table engine
+    under a fresh registry and event log, reading the registry after
+    every *read_every* words (never, at 0).  With *drop_engine* the
+    engine is collected before the final read.  Returns every
+    ``swdecc.*`` and ``ops.*`` metric, the events, and how many words
+    raised."""
+    registry = obs_metrics.MetricsRegistry()
+    log = obs_events.EventLog(capacity=len(requests))
+    previous = obs_metrics.set_registry(registry)
+    previous_log = obs_events.set_event_log(log)
+    try:
+        engine = SwdEcc(_WORD_CODE, tie_break=TieBreak.FIRST)
+    finally:
+        obs_metrics.set_registry(previous)
+        obs_events.set_event_log(previous_log)
+    raised = 0
+    for served, (context, word) in enumerate(requests, start=1):
+        try:
+            engine.recover(word, context)
+        except DecodingError:
+            raised += 1
+        if read_every and served % read_every == 0:
+            _read(registry, served // read_every)
+    if drop_engine:
+        engine_ref = weakref.ref(engine)
+        del engine
+        gc.collect()
+        assert engine_ref() is None
+    assert log.total_recorded == len(requests) - raised
+    return _metrics_of(registry), log.events(), raised
+
+
+def _per_word(requests):
+    """What per-word recovery commits for *requests*: the totals of a
+    run that reads the registry after every word, checked against the
+    writes each word's event implies (recovery, enumeration and
+    syndrome counts, ``tied + 1`` XORs, tie and fallback counts, and
+    both size histograms; a word that raised charged one syndrome)."""
+    metrics, events, raised = _tallied(requests, read_every=1)
+    expected = obs_metrics.MetricsRegistry()
+    sizes = obs_metrics.DEFAULT_COUNT_BUCKETS
+    expected.counter("ops.syndrome_computes").inc(raised)
+    for event in events:
+        expected.counter("swdecc.recoveries").inc()
+        expected.counter("ops.candidate_enumerations").inc()
+        expected.counter("ops.syndrome_computes").inc()
+        expected.counter("ops.xor").inc(event.tied + 1)
+        expected.counter("swdecc.tie_breaks").inc(int(event.tied > 1))
+        expected.counter("swdecc.filter_fallbacks").inc(
+            int(event.filter_fell_back)
+        )
+        expected.histogram("swdecc.candidates", sizes).observe(
+            event.num_candidates
+        )
+        expected.histogram("swdecc.valid_messages", sizes).observe(
+            event.num_valid
+        )
+    for name, data in _metrics_of(expected).items():
+        assert metrics[name] == data, name
+    return metrics, len(events)
+
+
+def _assert_commits_per_word(requests, **serving):
+    metrics, events, _ = _tallied(requests, **serving)
+    reference, reference_events = _per_word(requests)
+    assert metrics == reference
+    assert len(events) == reference_events
+
+
+def test_mid_stream_reads_commit_what_per_word_recovery_writes():
+    """Reads of every kind, at uneven points of one context's stream,
+    with codewords and correctable words mixed in."""
+    context = _CONTEXTS[0]
+    words = _distinct_class_words(150, seed=22)
+    rng = random.Random(22)
+    for position in range(0, 150, 25):
+        message = rng.getrandbits(32)
+        words.insert(position, _WORD_CODE.encode(message))
+        words.insert(position + 1, _WORD_CODE.encode(message) ^ (1 << 3))
+    requests = [(context, word) for word in words * 2]
+    for read_every in (0, 7, 64):
+        _assert_commits_per_word(requests, read_every=read_every)
+
+
+def test_reads_across_context_switches_commit_per_word():
+    """Every word switches the row memo's context; a class's words
+    keep one tally entry across the switches."""
+    words = _distinct_class_words(240, seed=23)
+    contexts = [*_CONTEXTS, None]
+    requests = [
+        (contexts[index % len(contexts)], word)
+        for index, word in enumerate(words * 2)
+    ]
+    _assert_commits_per_word(requests, read_every=11)
+
+
+def test_reads_past_the_row_cap_commit_per_word():
+    """More distinct decision rows than the memo holds: it clears in
+    place mid-stream, and no word's charge goes with it."""
+    words = _distinct_class_words(cache_module.MAX_ENTRIES + 300, seed=24)
+    context = _CONTEXTS[1]
+    _assert_commits_per_word(
+        [(context, word) for word in words], read_every=1000
+    )
+
+
+def test_a_collected_engines_words_are_committed():
+    words = _distinct_class_words(120, seed=25)
+    requests = [(_CONTEXTS[2], word) for word in words]
+    _assert_commits_per_word(requests, drop_engine=True)
+    _assert_commits_per_word(requests, read_every=50, drop_engine=True)
+
+
+def test_concurrent_reads_commit_each_word_once():
+    """One thread recovers while two others read the registry in a
+    loop: after the join, the totals are a serial run's.  Codewords,
+    correctable words and escalated words in the stream make the
+    engine's thread charge counters the readers' commits also write."""
+    words = _distinct_class_words(1500, seed=26)
+    rng = random.Random(26)
+    escalating = _escalating_word()
+    for position in range(0, 1500, 100):
+        message = rng.getrandbits(32)
+        words[position:position] = [
+            _WORD_CODE.encode(message),
+            _WORD_CODE.encode(message) ^ (1 << 11),
+            escalating,
+        ]
+    requests = [
+        (_CONTEXTS[index % 2], word) for index, word in enumerate(words * 2)
+    ]
+    registry = obs_metrics.MetricsRegistry()
+    log = obs_events.EventLog(capacity=len(requests))
+    previous = obs_metrics.set_registry(registry)
+    previous_log = obs_events.set_event_log(log)
+    try:
+        engine = SwdEcc(_WORD_CODE, tie_break=TieBreak.FIRST)
+    finally:
+        obs_metrics.set_registry(previous)
+        obs_events.set_event_log(previous_log)
+    served = threading.Event()
+    reads = []
+
+    def serve():
+        try:
+            for context, word in requests:
+                try:
+                    engine.recover(word, context)
+                except DecodingError:
+                    pass
+        finally:
+            served.set()
+
+    def read(turn):
+        while not served.is_set():
+            _read(registry, turn)
+            turn += 1
+            reads.append(None)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=serve),
+            threading.Thread(target=read, args=(0,)),
+            threading.Thread(target=read, args=(2,)),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(reads) > 2
+    serial, serial_events, _ = _tallied(requests, read_every=1)
+    assert _metrics_of(registry) == serial
+    assert log.total_recorded == len(serial_events)
+
+
+def _escalating_word():
+    """A DUE with no 2-bit table entry, which the engine recovers by
+    radius escalation."""
+    rng = random.Random(27)
+    table = _WORD_CODE.decode_table
+    while True:
+        bits = rng.sample(range(_WORD_CODE.n), 3)
+        word = _WORD_CODE.encode(rng.getrandbits(32))
+        for bit in bits:
+            word ^= 1 << bit
+        syndrome = table.syndrome_of(word)
+        if syndrome in _WORD_CODE.syndrome_to_position or table.entry(syndrome):
+            continue
+        try:
+            _, metrics = _metered(lambda engine: engine.recover(word))
+        except ReproError:
+            continue
+        assert metrics["swdecc.radius_escalations"]["value"] == 1
+        return word
+
+
+def test_null_registry_engine_counts_nothing():
+    """An engine whose code and metrics were built under
+    ``NULL_REGISTRY`` and a ``NullEventLog`` leaves every metric at 0,
+    there and in the process registry, after table-served words,
+    non-DUE words and an escalated word, before and after it is
+    collected."""
+    message = 0x8FBF0018
+    words = [
+        *_distinct_class_words(40, seed=28),
+        _WORD_CODE.encode(message),
+        _WORD_CODE.encode(message) ^ (1 << 7),
+        _escalating_word(),
+    ]
+    registry = obs_metrics.MetricsRegistry()
+    log = obs_events.EventLog()
+    previous = obs_metrics.set_registry(obs_metrics.NULL_REGISTRY)
+    previous_log = obs_events.set_event_log(obs_events.NullEventLog())
+    try:
+        engine = SwdEcc(canonical_secded_39_32(), tie_break=TieBreak.FIRST)
+    finally:
+        obs_metrics.set_registry(registry)
+        obs_events.set_event_log(log)
+    try:
+        assert engine.decode_table is not None
+        for context in (_CONTEXTS[3], None):
+            for word in words * 2:
+                try:
+                    engine.recover(word, context)
+                except ReproError:
+                    pass
+
+        def readings():
+            values = {}
+            for source in (obs_metrics.NULL_REGISTRY, registry):
+                for metric in source:
+                    if isinstance(metric, obs_metrics.Histogram):
+                        values[metric.name] = (
+                            metric.count, metric.sum, metric.bucket_counts()
+                        )
+                    elif not isinstance(metric, obs_metrics.Info):
+                        values[metric.name] = metric.value
+            return values
+
+        assert "swdecc.recoveries" in obs_metrics.NULL_REGISTRY.names()
+        before = readings()
+        del engine
+        gc.collect()
+        after = readings()
+    finally:
+        obs_metrics.set_registry(previous)
+        obs_events.set_event_log(previous_log)
+    for values in (before, after):
+        for name, value in values.items():
+            if isinstance(value, tuple):
+                count, total, buckets = value
+                assert count == 0 and total == 0, name
+                assert all(bucket == 0 for _, bucket in buckets), name
+            else:
+                assert value == 0, name
+    assert log.total_recorded == 0

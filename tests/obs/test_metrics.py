@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
+import gc
+import os
+import threading
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ObservabilityError
+from repro.obs import metrics as metrics_module
 from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
     NULL_REGISTRY,
+    Tally,
     diff_snapshot,
     get_registry,
     merge_snapshot,
@@ -336,3 +343,114 @@ class TestCacheHitRateCollector:
             set_registry(original)
         assert first == 1.0
         assert second == 0.5
+
+
+class _Owner:
+    """A stand-in for an instrumented object that keeps a tally."""
+
+
+class TestTally:
+    def _tally(self, registry):
+        owner = _Owner()
+        tally = registry.tally(
+            owner,
+            counters=(registry.counter("words"), registry.counter("xor")),
+            histograms=(registry.histogram("sizes", buckets=(2, 4, 8)),),
+        )
+        small = tally.add_class(amounts=(1, 3), values=(2,))
+        large = tally.add_class(amounts=(1, 0), values=(6,))
+        return owner, tally, small, large
+
+    def test_every_read_commits_hits_times_class_updates(self):
+        registry = MetricsRegistry()
+        owner, tally, small, large = self._tally(registry)
+        tally.hits[small] += 2
+        tally.hits[large] += 1
+        assert registry.counter("words").value == 3
+        assert registry.counter("xor").value == 6
+        sizes = registry.histogram("sizes")
+        assert (sizes.count, sizes.sum, sizes.min, sizes.max) == (3, 10, 2, 6)
+        assert sizes.bucket_counts() == [(2, 2), (4, 0), (8, 1), (float("inf"), 0)]
+        tally.hits[large] += 4
+        assert registry.counter_values(["words", "xor", "absent"]) == {
+            "words": 7, "xor": 6, "absent": 0,
+        }
+        tally.hits[small] += 1
+        assert registry.as_dict()["xor"]["value"] == 9
+        tally.hits[small] += 1
+        assert {metric.name: metric.value for metric in registry
+                if isinstance(metric, Counter)}["words"] == 9
+        # Committed once: reading again adds nothing.
+        assert registry.counter("words").value == 9
+        assert registry.histogram("sizes").as_dict()["count"] == 9
+
+    def test_reset_commits_before_it_zeroes(self):
+        registry = MetricsRegistry()
+        owner, tally, small, _ = self._tally(registry)
+        tally.hits[small] += 5
+        registry.reset()
+        assert registry.counter("words").value == 0
+        assert registry.histogram("sizes").count == 0
+        tally.hits[small] += 1
+        assert registry.counter("words").value == 1
+
+    def test_a_collected_owner_commits_and_retires(self):
+        registry = MetricsRegistry()
+        owner, tally, small, large = self._tally(registry)
+        tally.hits[large] += 2
+        del owner
+        gc.collect()
+        tally.hits[large] += 1  # after retiring: never committed
+        assert registry.counter("words").value == 2
+        assert registry.histogram("sizes").max == 6
+
+    def test_class_updates_are_checked(self):
+        registry = MetricsRegistry()
+        owner, tally, _, _ = self._tally(registry)
+        with pytest.raises(ObservabilityError):
+            tally.add_class(amounts=(1, -1), values=(2,))
+        with pytest.raises(ObservabilityError):
+            tally.add_class(amounts=(1,), values=(2,))
+        assert len(tally.hits) == 2
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_child_forked_while_another_thread_holds_the_lock_commits(self):
+        """The commit lock is re-made in a forked child: one held by a
+        thread that does not exist there would never be released."""
+        registry = MetricsRegistry()
+        owner, tally, small, _ = self._tally(registry)
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with metrics_module._tally_lock:
+                held.set()
+                release.wait(timeout=30)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert held.wait(timeout=30)
+            pid = os.fork()
+            if pid == 0:  # the child: commit, then leave at once
+                tally.hits[small] += 1
+                os._exit(0 if registry.counter("words").value == 1 else 1)
+        finally:
+            release.set()
+            holder.join(timeout=30)
+        deadline = time.monotonic() + 30
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done or time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
+        if not done:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+        assert done and os.waitstatus_to_exitcode(status) == 0
+
+    def test_null_registry_tally_is_never_committed(self):
+        owner, tally, small, _ = self._tally(NULL_REGISTRY)
+        assert isinstance(tally, Tally)
+        tally.hits[small] += 3
+        assert NULL_REGISTRY.counter("words").value == 0
+        assert NULL_REGISTRY.histogram("sizes").count == 0
