@@ -82,7 +82,7 @@ def main() -> int:
     # 2-D frontier monotonicity: by construction of non-dominance,
     # strictly cheaper frontier points must recover strictly less, and
     # coincident-energy points must tie on rate (else one dominates).
-    frontier = pareto_front(points, include_latency=False)
+    frontier = pareto_front(points)
     if not frontier:
         failures.append("empty Pareto frontier")
     rates = [point.recovery_rate for point in frontier]

@@ -1,4 +1,4 @@
-"""Recovery-rate vs. energy vs. latency Pareto frontiers.
+"""Recovery-rate vs. energy Pareto frontiers.
 
 SWD-ECC trades software work for DUE recovery; this module prices that
 trade.  For each (code, strategy) combination it runs the exhaustive
@@ -7,7 +7,10 @@ op-level counters the decode hot paths maintain (see
 :mod:`repro.obs.energy`), and reduces each combination to one
 :class:`ParetoPoint`: mean recovery rate, modeled joules per recovery,
 and wall seconds per recovery.  :func:`pareto_front` then extracts the
-non-dominated set — the only configurations worth deploying.
+non-dominated set over the 2-D (recovery rate, joules) plane — the
+only configurations worth deploying.  Seconds per recovery is a
+timing, reported beside the frontier but not part of it, so the
+frontier reproduces run to run.
 
 Counter deltas are measured around the sweep in the process registry;
 ``DueSweep.run(jobs > 1)`` folds worker-process snapshots back into the
@@ -173,48 +176,34 @@ def sweep_pareto(
     return points
 
 
-def _dominates(
-    a: ParetoPoint, b: ParetoPoint, include_latency: bool
-) -> bool:
-    """True when *a* is at least as good as *b* on every axis and
-    strictly better on one (rate up; joules and latency down)."""
-    at_least = (
+def _dominates(a: ParetoPoint, b: ParetoPoint) -> bool:
+    """True when *a* is at least as good as *b* on both axes and
+    strictly better on one (rate up, joules down)."""
+    return (
         a.recovery_rate >= b.recovery_rate
         and a.joules_per_recovery <= b.joules_per_recovery
         and (
-            not include_latency
-            or a.seconds_per_recovery <= b.seconds_per_recovery
+            a.recovery_rate > b.recovery_rate
+            or a.joules_per_recovery < b.joules_per_recovery
         )
     )
-    strictly = (
-        a.recovery_rate > b.recovery_rate
-        or a.joules_per_recovery < b.joules_per_recovery
-        or (
-            include_latency
-            and a.seconds_per_recovery < b.seconds_per_recovery
-        )
-    )
-    return at_least and strictly
 
 
-def pareto_front(
-    points: Sequence[ParetoPoint], include_latency: bool = True
-) -> list[ParetoPoint]:
-    """The non-dominated subset of *points*, sorted by energy.
+def pareto_front(points: Sequence[ParetoPoint]) -> list[ParetoPoint]:
+    """The non-dominated subset of *points* over the (recovery rate,
+    joules) plane, sorted by energy.
 
-    With ``include_latency=False`` the frontier is taken over the
-    (recovery rate, joules) plane only — sorted by joules ascending,
-    its recovery rates are strictly increasing, which is the invariant
-    the CI smoke check asserts (the 3-D frontier has no such 2-D
-    monotonicity).
+    Sorted by joules ascending, its recovery rates are strictly
+    increasing (coincident points excepted), which is the invariant the
+    CI smoke check asserts.  Seconds per recovery is a timing, so it
+    stays out: the frontier depends on op counts and rates alone, and
+    reproduces run to run.
     """
     frontier = [
         point
         for point in points
         if not any(
-            _dominates(other, point, include_latency)
-            for other in points
-            if other is not point
+            _dominates(other, point) for other in points if other is not point
         )
     ]
     return sorted(
@@ -232,11 +221,11 @@ def append_energy_record(
     """Append one energy-frontier record to the JSON list at *path*.
 
     The record carries its configuration (*meta*) next to the measured
-    points plus their 2-D frontier membership; the file is read and
+    points plus their frontier membership; the file is read and
     written by :func:`repro.analysis.records.append_record`.  Returns
     the new record count.
     """
-    frontier = pareto_front(points, include_latency=False)
+    frontier = pareto_front(points)
     frontier_keys = {(p.code, p.strategy) for p in frontier}
     record = {
         "timestamp": timestamp,

@@ -160,8 +160,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pareto = subparsers.add_parser(
         "pareto",
-        help="recovery-rate vs joules-per-recovery vs latency frontier "
-        "across codes and strategies",
+        help="2-D recovery-rate vs joules-per-recovery frontier across "
+        "codes and strategies (s/recovery is printed, not weighed)",
         parents=[obs_flags, jobs_flag],
     )
     pareto.add_argument("--benchmark", default="mcf")

@@ -426,6 +426,8 @@ class SwdEcc:
                         self._m_ops_xor,
                         self._m_ties,
                         self._m_fallbacks,
+                        self._m_ops_filter,
+                        self._m_ranker_evals,
                     ),
                     histograms=(self._h_candidates, self._h_valid),
                 )
@@ -591,13 +593,14 @@ class SwdEcc:
         :class:`~repro.errors.DecodingError` family, with the same
         messages, as the reference ``_check_due`` for non-DUE inputs.
 
-        Op accounting charges what the lookup actually performs — one
-        syndrome compute, one enumeration, a handful of XORs, plus
-        filter/ranker evaluations only when a decision row is built
-        (however many verdict-table misses that build fills).  A served
-        word's charges are constants of its row's class, so the word
-        adds 1 to its class in the engine's tally, and reads commit
-        them (:class:`~repro.obs.metrics.Tally`); a word that raises or
+        Op accounting charges what the reference pipeline charges for
+        the word — one syndrome compute, one enumeration, the filter
+        and ranker evaluations — except XOR, of which the lookup
+        performs fewer.  A served word's charges are constants of its
+        row's class, so the word adds 1 to its class in the engine's
+        tally, and reads commit them
+        (:class:`~repro.obs.metrics.Tally`); whether its row was built
+        or read from the memo changes nothing.  A word that raises or
         has no entry charges its syndrome compute on its way out.
         """
         start_ns = time.perf_counter_ns()
@@ -646,9 +649,6 @@ class SwdEcc:
             row = self._decide(
                 entry.offsets, base, self._verdicts.table_for(context)
             )
-            if self._filter.filters:
-                self._m_ops_filter.inc(len(entry.offsets))
-            self._m_ranker_evals.inc(len(row[0]))
             num_valid = 0 if row[3] else len(row[0])
             key = (len(entry.offsets), num_valid, len(row[2]), row[3])
             word_class = self._word_classes.get(key)
@@ -722,12 +722,19 @@ class SwdEcc:
         """Declare the tally class of table-served words whose rows have
         *key*, ``(candidates, valid, tie size, fell back)``, with the
         charges each of its words makes; returns its index.  Every word
-        of a class makes the same metric updates, whichever row,
-        context or row-memo generation serves it."""
+        of a class makes the same metric updates, whichever row or
+        context serves it: the filter sees every candidate when the
+        chain has filters, and the ranker scores the pool (every
+        candidate when the filter fell back)."""
         num_candidates, num_valid, tied, fell_back = key
+        filter_evals = num_candidates if self._filter.filters else 0
+        ranker_evals = num_candidates if fell_back else num_valid
         # In the order of the tally's counters and histograms.
         index = self._word_classes[key] = self._tally.add_class(
-            amounts=(1, 1, 1, tied + 1, int(tied > 1), int(fell_back)),
+            amounts=(
+                1, 1, 1, tied + 1, int(tied > 1), int(fell_back),
+                filter_evals, ranker_evals,
+            ),
             values=(num_candidates, num_valid),
         )
         return index
@@ -749,10 +756,9 @@ class SwdEcc:
         this decision.  When the filter rejects every candidate, all of
         them are scored through the ranker's spec hook instead.
 
-        Pure: charges nothing.  Callers charge, per decided word, the
-        filter evaluations (every candidate, when the chain has
-        filters) and ranker evaluations (the pool) the reference
-        pipeline would — never per verdict-table miss.
+        Pure: charges nothing.  Its callers charge every word they
+        serve what the reference pipeline charges for it (``docs/
+        performance.md`` "Op accounting").
 
         Returns ``(pool, scores, tied, fell_back)``: the offsets the
         ranker scored (the filter's survivors, or every candidate when
@@ -842,11 +848,13 @@ class SwdEcc:
         fallbacks, FIRST ties, and rows holding a NaN or ``-inf``
         score.  Rows live for one call (``docs/performance.md``).
 
-        Counters and histograms advance as :meth:`recover` would
-        advance them, committed once per pattern; per-DUE *events* are
-        not recorded (an exhaustive sweep would only churn the bounded
-        ring).  The oracle, and patterns without a table entry, run
-        :meth:`recover` word by word.  A pattern's stats, counters and
+        Each word charges what :meth:`recover` charges for it, except
+        that no word's syndrome is computed and XORs are one per
+        candidate; counters and histograms are committed once per
+        pattern, and per-DUE *events* are not recorded (an exhaustive
+        sweep would only churn the bounded ring).  The oracle, and
+        patterns without a table entry, run :meth:`recover` word by
+        word.  A pattern's stats, counters and
         errors are those of a :meth:`sweep_probabilities` call for it:
         the first table-served pattern raises
         :class:`~repro.errors.EncodingError`, as ``code.encode`` would,

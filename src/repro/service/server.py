@@ -287,8 +287,8 @@ class RecoveryService(obs_server.ObsServer):
         Attach a per-request ``cost`` block (op-count deltas, modeled
         joules) to successful ``/recover`` payloads.  Off by default:
         the block reveals how much work each word cost, which callers
-        do not usually need.  Batch-level ``service.batch_ops`` /
-        ``service.batch_joules`` histograms are recorded regardless.
+        do not usually need.  Equal requests get equal blocks, whatever
+        the engines served before them.
     selector:
         Optional :class:`~repro.service.selector.AdaptiveCodeSelector`
         polled after each served request, so its ``selector.*``

@@ -156,16 +156,6 @@ class BatchEngine:
             "service.result.cache_misses",
             help="Words that ran the engine and serialized fresh",
         )
-        self._h_batch_ops = registry.histogram(
-            "service.batch_ops",
-            buckets=(64, 256, 1024, 4096, 16384, 65536),
-            help="Decode op-counter delta per executed micro-batch",
-        )
-        self._h_batch_joules = registry.histogram(
-            "service.batch_joules",
-            buckets=(1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3),
-            help="Modeled energy per executed micro-batch",
-        )
 
     @property
     def catalog(self) -> ServiceCatalog:
@@ -175,104 +165,93 @@ class BatchEngine:
     def execute(self, requests: Sequence[api.RecoveryRequest]) -> list[dict]:
         """Run one micro-batch; one outcome dict per request, in order.
 
-        Requests group by (code, context) so each group drains
-        back-to-back through one engine, preserving context-cache
-        generations.  Per-word errors (not a DUE, no candidates) are
-        captured per word and never fail a neighbouring request.
+        Requests run in arrival order.  Per-word errors (not a DUE, no
+        candidates) are captured per word and never fail a neighbouring
+        request.
 
         Answers are deterministic (first-wins tie-breaking, pinned
         contexts), so cache replays are bit-identical to engine runs.
         Cost attribution (``report_cost``) bypasses the cache: its op
-        deltas must measure real engine work, not dict probes.
+        deltas must measure real engine work, not dict probes.  It is
+        the only reader of the op counters here, and equal requests
+        cost the same whatever ran before them.
         """
-        groups: dict[tuple[str, str], list[int]] = {}
-        for index, request in enumerate(requests):
-            key = (request.code_id, request.context_id)
-            groups.setdefault(key, []).append(index)
-        outcomes: list[dict] = [{} for _ in requests]
+        outcomes: list[dict] = []
         recovered = 0
         failed = 0
         exec_start_ns = time.perf_counter_ns()
-        model = obs_energy.get_energy_model()
-        batch_before = obs_energy.op_counts(model=model)
-        for key, indexes in groups.items():
-            code_id, context_id = key
-            engine, context = self._catalog.resolve(code_id, context_id)
-            cache: dict[int, tuple[bool, str]] | None = None
-            if not self._report_cost:
-                cache = self._cache.get(key)
-                if cache is None:
-                    cache = self._cache.setdefault(key, {})
-            for index in indexes:
-                request = requests[index]
-                request_start_ns = time.perf_counter_ns()
-                before = (
-                    obs_energy.op_counts(model=model)
-                    if self._report_cost else None
-                )
-                fragments: list[str] = []
-                for word in request.words:
-                    if cache is not None:
-                        hit = cache.get(word)
-                        if hit is not None:
-                            self._c_cache_hits.inc()
-                            ok, fragment = hit
-                            recovered += ok
-                            failed += not ok
-                            fragments.append(fragment)
-                            continue
-                        self._c_cache_misses.inc()
-                    try:
-                        result = engine.recover(word, context)
-                    except ReproError as error:
-                        ok = False
-                        fragment = json.dumps(
-                            api.error_payload(word, error), sort_keys=True
-                        )
-                    else:
-                        ok = True
-                        fragment = api.result_fragment(word, result)
-                    recovered += ok
-                    failed += not ok
-                    if cache is not None:
-                        if self._cache_words >= RESULT_CACHE_WORDS:
-                            # Clear in place: engines sharing a group
-                            # dict must never see resurrected entries.
-                            for entries in self._cache.values():
-                                entries.clear()
-                            self._cache_words = 0
-                        cache[word] = (ok, fragment)
-                        self._cache_words += 1
-                    fragments.append(fragment)
-                cost = None
-                if before is not None:
-                    after = obs_energy.op_counts(model=model)
-                    deltas = {
-                        name: after[name] - before[name]
-                        for name in after
-                        if after[name] != before[name]
-                    }
-                    joules = model.joules(deltas)
-                    cost = {
-                        "ops": deltas,
-                        "joules": joules,
-                        "joules_per_word": joules / len(request.words),
-                    }
-                outcomes[index] = {
-                    "fragments": fragments,
-                    "cost": cost,
-                    "engine_ns": (
-                        request_start_ns - exec_start_ns,
-                        time.perf_counter_ns() - exec_start_ns,
-                    ),
+        model = obs_energy.get_energy_model() if self._report_cost else None
+        for request in requests:
+            key = (request.code_id, request.context_id)
+            engine, context = self._catalog.resolve(*key)
+            request_start_ns = time.perf_counter_ns()
+            if model is None:
+                cache = self._cache.setdefault(key, {})
+            else:
+                cache = None
+                before = obs_energy.op_counts(model=model)
+            hits = 0
+            fragments: list[str] = []
+            for word in request.words:
+                if cache is not None:
+                    hit = cache.get(word)
+                    if hit is not None:
+                        hits += 1
+                        ok, fragment = hit
+                        recovered += ok
+                        failed += not ok
+                        fragments.append(fragment)
+                        continue
+                try:
+                    result = engine.recover(word, context)
+                except ReproError as error:
+                    ok = False
+                    fragment = json.dumps(
+                        api.error_payload(word, error), sort_keys=True
+                    )
+                else:
+                    ok = True
+                    fragment = api.result_fragment(word, result)
+                recovered += ok
+                failed += not ok
+                if cache is not None:
+                    if self._cache_words >= RESULT_CACHE_WORDS:
+                        # Clear in place: a request holding a (code,
+                        # context) dict must never see resurrected
+                        # entries.
+                        for entries in self._cache.values():
+                            entries.clear()
+                        self._cache_words = 0
+                    cache[word] = (ok, fragment)
+                    self._cache_words += 1
+                fragments.append(fragment)
+            cost = None
+            if model is None:
+                if hits:
+                    self._c_cache_hits.inc(hits)
+                if hits < len(fragments):
+                    self._c_cache_misses.inc(len(fragments) - hits)
+            else:
+                after = obs_energy.op_counts(model=model)
+                deltas = {
+                    name: after[name] - before[name]
+                    for name in after
+                    if after[name] != before[name]
                 }
-        batch_after = obs_energy.op_counts(model=model)
-        batch_deltas = {
-            name: batch_after[name] - batch_before[name]
-            for name in batch_after
-        }
-        self._h_batch_ops.observe(sum(batch_deltas.values()))
-        self._h_batch_joules.observe(model.joules(batch_deltas))
+                joules = model.joules(deltas)
+                cost = {
+                    "ops": deltas,
+                    "joules": joules,
+                    "joules_per_word": joules / len(request.words),
+                }
+            outcomes.append({
+                "fragments": fragments,
+                "cost": cost,
+                "engine_ns": (
+                    request_start_ns - exec_start_ns,
+                    time.perf_counter_ns() - exec_start_ns,
+                ),
+            })
         if recovered:
             self._c_recoveries.inc(recovered)
         if failed:

@@ -3,8 +3,8 @@
 The end-to-end measurement path (real DueSweep, real counters) is
 exercised by ``scripts/pareto_smoke.py`` in CI; these tests pin the
 dominance logic and the bench-record format on synthetic points, where
-every edge (ties, latency axis, corrupt history files) is cheap to
-construct.
+every edge (ties, timing-only differences, corrupt history files) is
+cheap to construct.
 """
 
 from __future__ import annotations
@@ -49,14 +49,11 @@ class TestParetoFront:
         front = pareto_front([pricey_strong, cheap_weak])
         assert front == [cheap_weak, pricey_strong]
 
-    def test_latency_axis_can_rescue_a_point(self):
+    def test_latency_never_decides_membership(self):
         slow_strong = _point("a", rate=0.9, joules=1.0, seconds=9.0)
         fast_equal = _point("b", rate=0.9, joules=1.0, seconds=1.0)
-        assert pareto_front([slow_strong, fast_equal]) == [fast_equal]
-        # In the 2-D view they are coincident: both non-dominated.
-        both = pareto_front(
-            [slow_strong, fast_equal], include_latency=False
-        )
+        # Coincident on the (rate, joules) plane: both non-dominated.
+        both = pareto_front([slow_strong, fast_equal])
         assert set(p.code for p in both) == {"a", "b"}
 
     def test_identical_points_are_both_kept(self):

@@ -10,7 +10,7 @@ through ``SwdEcc.recover()``'s table path and prices each fault from
 moves its joules; the Pareto points come from the sweep kernel.
 
 Pareto frontier membership is pinned over the (recovery rate, joules)
-plane: the CLI's frontier also weighs seconds per recovery, a timing.
+plane, the only frontier ``pareto_front`` takes.
 A change that moves a pinned number updates it here, regenerates the
 record with the command's ``--record``, and says why.
 """
@@ -28,7 +28,7 @@ REL = 1e-12
 MBU_STUDY = {
     "adjacent-bursts": {
         "adaptive": {
-            "joules_per_fault": 2.185406964934707e-06,
+            "joules_per_fault": 2.1874992726270146e-06,
             "mean_heuristic_correct": 10.333333333333334,
             "mean_hw_corrected": 20.666666666666668,
             "mean_regions_upgraded": 4.0,
@@ -46,7 +46,7 @@ MBU_STUDY = {
             "recovery_rate": 0.8174366616989568,
         },
         "static-secded-39-32": {
-            "joules_per_fault": 2.573522069350599e-06,
+            "joules_per_fault": 2.5756143770429064e-06,
             "mean_heuristic_correct": 17.333333333333332,
             "mean_hw_corrected": 0.3333333333333333,
             "mean_regions_upgraded": 0.0,
@@ -188,7 +188,7 @@ def test_pareto_points_match_their_record():
     )
     frontier = {
         (point.code, point.strategy)
-        for point in pareto_front(points, include_latency=False)
+        for point in pareto_front(points)
     }
     measured = {(point.code, point.strategy): point for point in points}
     assert measured.keys() == PARETO_POINTS.keys()

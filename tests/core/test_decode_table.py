@@ -586,6 +586,78 @@ def test_kernel_pinned_fallback_and_tie_words(code_name, strategy, tie_break):
     assert fast._rng.random() == reference._rng.random()
 
 
+#: The charges the table path and the oracle make alike, word by word
+#: (the paths price ``ops.xor`` and syndrome computes by what each
+#: performs).
+_ORACLE_CHARGES = (
+    "ops.filter_evals", "ops.ranker_evals", "swdecc.recoveries",
+    "swdecc.tie_breaks", "swdecc.filter_fallbacks", "swdecc.candidates",
+    "swdecc.valid_messages",
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    code_name=st.sampled_from(sorted(KERNEL_CODES)),
+    context_names=st.lists(
+        st.sampled_from(sorted(KERNEL_CONTEXTS)),
+        min_size=2, max_size=2, unique=True,
+    ),
+    strategy=st.sampled_from(RecoveryStrategy),
+    tie_break=st.sampled_from(TieBreak),
+    pool=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=(1 << 32) - 1),
+            st.integers(min_value=0, max_value=1 << 20),
+        ),
+        min_size=1, max_size=4,
+    ),
+    stream=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=3), st.booleans()),
+        min_size=2, max_size=12,
+    ),
+)
+def test_kernel_charges_what_the_oracle_charges_word_by_word(
+    code_name, context_names, strategy, tie_break, pool, stream
+):
+    """Every code, strategy and tie-break: a DUE stream that repeats
+    words and interleaves two contexts charges, after every word, the
+    oracle's filter and ranker evals, recoveries, ties, fallbacks and
+    size histograms, whether the word's decision row was built or read
+    from the memo."""
+    code = KERNEL_CODES[code_name]
+    patterns = KERNEL_PATTERNS[code_name]
+    contexts = [KERNEL_CONTEXTS[name] for name in context_names]
+    words = [
+        code.encode(message) ^ patterns[pick % len(patterns)]
+        for message, pick in pool
+    ]
+
+    def serve(cache):
+        registry = obs_metrics.MetricsRegistry()
+        previous = obs_metrics.set_registry(registry)
+        try:
+            engine = _strategy_engine(strategy, tie_break, cache, code)
+        finally:
+            obs_metrics.set_registry(previous)
+        assert (engine.decode_table is not None) == cache
+        served = []
+        for index, second in stream:
+            try:
+                chosen = engine.recover(
+                    words[index % len(words)], contexts[second]
+                ).chosen_message
+            except DecodingError as error:
+                chosen = str(error)
+            snapshot = registry.as_dict()
+            served.append(
+                (chosen, {name: snapshot[name] for name in _ORACLE_CHARGES})
+            )
+        return served
+
+    assert serve(cache=True) == serve(cache=False)
+
+
 # ---------------------------------------------------------------------------
 # The sweep kernel: many patterns per call
 # ---------------------------------------------------------------------------

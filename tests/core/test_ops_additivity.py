@@ -14,6 +14,11 @@ grouped or which path serves them.  Hypothesis drives random
   charge on another fresh engine;
 - building a decode table charges no ops at all, and the table path
   charges the oracle's ops except XOR, of which it charges fewer;
+- the decision-row memo changes no charge: a word charges the same
+  with any context and on a repeat, and grouped, interleaved and
+  shuffled streams, and streams past the memo's cap, charge the same
+  totals (``tests/core/test_decode_table.py`` checks the charges word
+  by word against the oracle on every table-served catalog code);
 - a table sweep charges the enumerations, filter evals and ranker
   evals that ``recover()`` charges for the same words;
 - one ``sweep_patterns()`` call over many patterns commits every
@@ -34,10 +39,7 @@ constructing the engine, which caches its counter references at
 construction time, so the swap isolates every example.  The oracle
 also charges syndromes through its code's counters, so it gets a fresh
 code too; the table path charges only through the engine, so it
-shares one code (and that code's table) across examples.  The table
-path keeps decision rows per *context identity*, so the grouping
-comparisons pin one shared context: a fresh context per call
-legitimately rebuilds rows (and recharges their filter/ranker evals).
+shares one code (and that code's table) across examples.
 """
 
 from __future__ import annotations
@@ -184,28 +186,29 @@ def test_precompiled_charges_reference_ops_minus_amortized_walk(specs):
     assert table == reference
 
 
-def test_context_less_calls_amortize_decision_rows():
-    """Calls without a context share one default context, so they
-    amortize decision rows as calls that pin one context do: the second
-    context-less ``recover()`` of a class charges no filter or ranker
-    evals, while a fresh context per call charges them every time."""
+def test_a_word_charges_the_same_with_any_context_and_on_a_repeat():
+    """A table-served word charges the oracle's ops, XOR apart, every
+    time it is served: with no context, with a pinned context, with a
+    fresh context, and on a repeat whose decision row the memo already
+    holds."""
     (word,) = _due_words([(0x8FBF0018, 1, 4)])
     once = _measure(lambda engine: engine.recover(word))
-    twice = _measure(lambda engine: [engine.recover(word) for _ in range(2)])
-    second = {name: twice[name] - once[name] for name in twice}
     assert once["ops.filter_evals"] > 0 and once["ops.ranker_evals"] > 0
-    assert second["ops.filter_evals"] == second["ops.ranker_evals"] == 0
-    assert second["ops.syndrome_computes"] == 1
-    assert second["ops.candidate_enumerations"] == 1
-    context = RecoveryContext()
-    assert _measure(
-        lambda engine: [engine.recover(word, context) for _ in range(2)]
-    ) == twice
-    fresh = _measure(
-        lambda engine: [engine.recover(word, RecoveryContext()) for _ in range(2)]
-    )
-    assert fresh["ops.filter_evals"] == 2 * once["ops.filter_evals"]
-    assert fresh["ops.ranker_evals"] == 2 * once["ops.ranker_evals"]
+    oracle = _measure(lambda engine: engine.recover(word), cache=False)
+    assert {**once, "ops.xor": 0} == {**oracle, "ops.xor": 0}
+    pinned = RecoveryContext()
+    for contexts in (
+        [None, None],
+        [pinned, pinned],
+        [RecoveryContext(), RecoveryContext()],
+        [None, pinned, RecoveryContext(), pinned, None],
+    ):
+        charged = _measure(
+            lambda engine: [engine.recover(word, c) for c in contexts]
+        )
+        assert charged == {
+            name: value * len(contexts) for name, value in once.items()
+        }, contexts
 
 
 _SWEEP_OPS = ("ops.candidate_enumerations", "ops.filter_evals", "ops.ranker_evals")
@@ -416,6 +419,43 @@ def test_warm_verdict_tables_charge_what_cold_ones_do():
         return answers, swept, {op: after[op] - before[op] for op in after}
 
     assert charges(warm=True) == charges(warm=False)
+
+
+def _charges(requests, cache=True):
+    """The op totals of serving ``(context, word)`` *requests* in order
+    on a fresh engine (the oracle with ``cache=False``)."""
+    return _measure(
+        lambda engine: [engine.recover(word, context) for context, word in requests],
+        cache=cache,
+    )
+
+
+def test_arrival_order_changes_no_charge():
+    """Charges follow the words, not the row memo: words of two contexts
+    whose classes repeat charge the same grouped by context, interleaved
+    word by word, and shuffled, and that is the oracle's charge apart
+    from XOR.  A stream past the memo's 4,096-row cap charges the same
+    whether its repeats arrive before the memo clears or after."""
+    rng = random.Random(17)
+    pool = _distinct_class_words(60, seed=17)
+    bzip2, mcf = _CONTEXTS[0], _CONTEXTS[2]
+    streams = [
+        [(context, rng.choice(pool)) for _ in range(150)]
+        for context in (mcf, bzip2)
+    ]
+    grouped = streams[0] + streams[1]
+    interleaved = [request for pair in zip(*streams) for request in pair]
+    shuffled = grouped[:]
+    rng.shuffle(shuffled)
+    charged = _charges(grouped)
+    assert charged == _charges(interleaved) == _charges(shuffled)
+    oracle = _charges(grouped, cache=False)
+    assert {**charged, "ops.xor": 0} == {**oracle, "ops.xor": 0}
+
+    words = _distinct_class_words(cache_module.MAX_ENTRIES + 200, seed=18)
+    repeats_first = [(mcf, word) for word in words[:200] + words]
+    repeats_last = [(mcf, word) for word in words + words[:200]]
+    assert _charges(repeats_first) == _charges(repeats_last)
 
 
 class _LargeContext(RecoveryContext):

@@ -3,18 +3,20 @@
 ``RecoveryService(report_cost=True)`` attaches an op-count/joule
 ``cost`` block to every successful ``/recover`` and ``/recover/batch``
 response; the default leaves responses byte-compatible with older
-clients.  Batch-level ``service.batch_ops`` / ``service.batch_joules``
-histograms record energy per executed micro-batch in both modes.
+clients.  A request's block depends on its words and context alone,
+never on what the engines served before it.
 """
 
 from __future__ import annotations
 
 import json
+import random
 import threading
 import urllib.request
 
 import pytest
 
+from repro.ecc.channel import double_bit_patterns
 from repro.service import RecoveryService, ServiceCatalog
 from repro.service.catalog import DEFAULT_CODE_ID
 
@@ -76,16 +78,37 @@ class TestCostReporting:
         assert status == 200
         assert "cost" not in body
 
-    def test_batch_histograms_recorded_regardless(self, obs_swap, due_word):
-        with _service() as svc:
-            post(svc.url + "/recover", {"received": due_word})
-            registry = obs_swap.registry
-            ops = registry.get("service.batch_ops")
-            joules = registry.get("service.batch_joules")
-            assert ops.count == 1
-            assert ops.sum > 0
-            assert joules.count == 1
-            assert joules.sum > 0
+    def test_resent_request_costs_the_same(self):
+        """One 64-word request sent three times, with a request of
+        another context between the second and third, gets three equal
+        cost blocks: its repeats charge what its first send did."""
+        with _service(report_cost=True) as svc:
+            code = svc.catalog.code(DEFAULT_CODE_ID)
+            rng = random.Random(2016)
+            patterns = [p.vector for p in double_bit_patterns(code.n)]
+
+            def due_words(count):
+                return [
+                    code.encode(rng.getrandbits(32)) ^ rng.choice(patterns)
+                    for _ in range(count)
+                ]
+
+            words = due_words(64)
+
+            def cost(context, received):
+                status, body = post(
+                    svc.url + "/recover/batch",
+                    {"received": received, "context": context},
+                )
+                assert status == 200
+                return body["cost"]
+
+            first = cost("mcf", words)
+            second = cost("mcf", words)
+            cost("bzip2", due_words(64))
+            third = cost("mcf", words)
+        assert first["ops"]["ops.filter_evals"] > 0
+        assert first == second == third
 
     def test_degraded_responses_never_carry_cost(self, due_word):
         # The executor blocks until the request has timed out, so the

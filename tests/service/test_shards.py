@@ -11,7 +11,8 @@ observable may change when it does.  Three contracts are pinned here:
 - **Metrics completeness** — the parent registry's ``service.*``
   engine counters equal the *sum* of the per-shard cumulative
   snapshots: the diff-shipping protocol neither drops nor
-  double-counts.
+  double-counts; and a pool charges the ``swdecc.*`` and ``ops.*``
+  totals one in-process engine charges for the same stream.
 - **Failure policy** — a killed worker costs one respawn and zero
   lost or duplicated words.
 """
@@ -34,6 +35,8 @@ from repro.core.sideinfo import RecoveryContext
 from repro.core.swdecc import SwdEcc, TieBreak
 from repro.ecc import canonical_secded_39_32
 from repro.errors import ReproError, ServiceError
+from repro.isa.decoder import ALL_SELECTOR_FIELDS
+from repro.obs import metrics as obs_metrics
 from repro.program.stats import FrequencyTable
 from repro.program.synth import synthesize_benchmark
 from repro.service import RecoveryService, ServiceCatalog
@@ -53,7 +56,10 @@ from repro.service.shards import (
 )
 
 CONTEXT_IDS = ("none", "mcf", "bzip2")
-CODE_N = canonical_secded_39_32().n
+#: Encodes test words; built at import, so its op counters are not those
+#: of any registry a test swaps in.
+WORD_CODE = canonical_secded_39_32()
+CODE_N = WORD_CODE.n
 
 
 @pytest.fixture(scope="module")
@@ -245,15 +251,93 @@ def test_parent_metrics_equal_sum_of_shard_snapshots(obs_swap):
         )
         assert parent[name]["value"] == shard_total, name
         assert shard_total > 0, f"{name} never moved; test is vacuous"
-    # Histograms reassemble too: per-batch op counts ship as bucket
-    # deltas and must sum exactly.
-    shard_ops = [s["service.batch_ops"] for s in snapshots]
-    assert parent["service.batch_ops"]["count"] == sum(
-        h["count"] for h in shard_ops
+    # Histograms reassemble too: the engines' candidate counts are
+    # committed from a tally when the shard snapshots its registry, ship
+    # as bucket deltas and must sum exactly.
+    shard_candidates = [
+        s["swdecc.candidates"] for s in snapshots if "swdecc.candidates" in s
+    ]
+    assert parent["swdecc.candidates"]["count"] == sum(
+        h["count"] for h in shard_candidates
+    ) > 0
+    assert parent["swdecc.candidates"]["sum"] == sum(
+        h["sum"] for h in shard_candidates
     )
-    assert parent["service.batch_ops"]["sum"] == sum(
-        h["sum"] for h in shard_ops
+
+
+def _engine_totals(registry):
+    """Every non-zero ``swdecc.*`` and ``ops.*`` total of *registry*:
+    counter values, and histogram counts, sums and buckets."""
+    totals = {}
+    for name, data in registry.as_dict().items():
+        if not name.startswith(("swdecc.", "ops.")):
+            continue
+        if data["type"] == "counter" and data["value"]:
+            totals[name] = data["value"]
+        elif data["type"] == "histogram" and data["count"]:
+            totals[name] = (data["count"], data["sum"], data["buckets"])
+    return totals
+
+
+def _class_repeating_requests(context_ids, words_per_request=16):
+    """One request per context id in *context_ids*, whose words are
+    distinct but fall into eight decision classes: each word is one of
+    eight (message, pattern) seeds with only non-selector message bits
+    changed, so it keeps its seed's syndrome and selector base."""
+    rng = random.Random(31)
+    free_bits = ~ALL_SELECTOR_FIELDS & 0xFFFFFFFF
+    seeds = [
+        (rng.getrandbits(32), (1 << a) | (1 << b))
+        for a, b in (rng.sample(range(CODE_N), 2) for _ in range(8))
+    ]
+    requests, seen = [], set()
+    for context_id in context_ids:
+        words = []
+        while len(words) < words_per_request:
+            message, pattern = rng.choice(seeds)
+            message ^= rng.getrandbits(32) & free_bits
+            word = WORD_CODE.encode(message) ^ pattern
+            if word not in seen:
+                seen.add(word)
+                words.append(word)
+        requests.append(
+            RecoveryRequest(words=tuple(words), context_id=context_id)
+        )
+    return requests
+
+
+def test_shard_pool_charges_what_one_engine_charges(obs_swap):
+    """A 2-shard pool and an in-process ``BatchEngine`` serve one stream
+    whose requests alternate between two contexts on different shards:
+    each shard sees a run of one context, with classes repeating across
+    its requests, while the in-process engine switches context every
+    request.  Both end with equal ``swdecc.*`` and ``ops.*`` totals."""
+    assert route_key(DEFAULT_CODE_ID, "mcf", 2) == route_key(
+        DEFAULT_CODE_ID, "bzip2", 2
+    ) != route_key(DEFAULT_CODE_ID, "perlbench", 2) == route_key(
+        DEFAULT_CODE_ID, "povray", 2
     )
+    requests = _class_repeating_requests(
+        ["mcf", "perlbench"] * 3 + ["bzip2", "povray"] * 3
+    )
+    spec = ShardSpec.from_catalog(ServiceCatalog())
+    with ShardPool(2, spec) as pool:
+        for request in requests:
+            index = pool.route(request.code_id, request.context_id)
+            pool.execute(index, [request])
+    sharded = _engine_totals(obs_swap.registry)
+
+    registry = obs_metrics.MetricsRegistry()
+    previous = obs_metrics.set_registry(registry)
+    try:
+        engine = BatchEngine(ServiceCatalog())
+        for request in requests:
+            engine.execute([request])
+    finally:
+        obs_metrics.set_registry(previous)
+    in_process = _engine_totals(registry)
+    assert in_process["ops.filter_evals"] > 0
+    assert sharded == in_process
 
 
 def test_route_key_is_stable_and_in_range():
