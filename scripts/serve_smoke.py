@@ -2,8 +2,10 @@
 """CI smoke test: scrape ``/metrics`` live while a parallel sweep runs.
 
 Starts an :class:`repro.obs.server.ObsServer` on an ephemeral port,
-runs a small ``jobs=2`` DUE sweep in the main thread while a scraper
-thread polls ``/metrics`` and ``/healthz``, then asserts:
+runs two small ``jobs=2`` DUE sweeps (two images, one after the other,
+the second on the worker pool the first started) in the main thread
+while a scraper thread polls ``/metrics`` and ``/healthz``, then
+asserts for each sweep:
 
 - every scraped exposition parses with the strict round-trip parser
   (:func:`repro.obs.promtext.parse_exposition`);
@@ -31,6 +33,8 @@ from repro.obs.server import ObsServer
 from repro.program import synthesize_benchmark
 
 JOBS = 2
+#: Swept in order; the second sweep runs on the first one's worker pool.
+BENCHMARKS = ("mcf", "bzip2")
 WINDOW = 4
 IMAGE_LENGTH = 512
 SCRAPE_INTERVAL_S = 0.05
@@ -77,27 +81,22 @@ class Scraper(threading.Thread):
             self._halt.wait(SCRAPE_INTERVAL_S)
 
 
-def main() -> int:
-    code = canonical_secded_39_32()
-    image = synthesize_benchmark("mcf", length=IMAGE_LENGTH)
-    sweep = DueSweep(
-        code, RecoveryStrategy.FILTER_AND_RANK, num_instructions=WINDOW
-    )
-
+def _served_sweep(sweep, image, server) -> list[str]:
+    """Sweep *image* at ``jobs=2`` while scraping *server*; returns the
+    failures against the serial reference."""
     serial = sweep.run(image, jobs=1)
 
     # Creating the tracker starts a fresh sweep session: it resets the
     # progress gauges the serial reference run above advanced, so every
     # scrape below observes only the served run (0 -> total).
     progress = SweepProgress()
-    with ObsServer(port=0) as server:
-        scraper = Scraper(server.url)
-        scraper.start()
-        started = time.perf_counter()
-        served = sweep.run(image, jobs=JOBS, progress=progress)
-        wall = time.perf_counter() - started
-        scraper.scrape_once()  # guarantee one final post-run sample
-        scraper.stop()
+    scraper = Scraper(server.url)
+    scraper.start()
+    started = time.perf_counter()
+    served = sweep.run(image, jobs=JOBS, progress=progress)
+    wall = time.perf_counter() - started
+    scraper.scrape_once()  # guarantee one final post-run sample
+    scraper.stop()
 
     failures = []
     if scraper.errors:
@@ -119,10 +118,24 @@ def main() -> int:
         failures.append("served parallel sweep != serial no-server sweep")
 
     print(
-        f"serve smoke: {len(scraper.samples)} scrapes over {wall:.2f}s, "
-        f"patterns_done {scraper.samples[:1]} -> {scraper.samples[-1:]}, "
-        f"healthz ok x{scraper.healthz_ok}"
+        f"serve smoke [{image.name}]: {len(scraper.samples)} scrapes over "
+        f"{wall:.2f}s, patterns_done {scraper.samples[:1]} -> "
+        f"{scraper.samples[-1:]}, healthz ok x{scraper.healthz_ok}"
     )
+    return [f"[{image.name}] {failure}" for failure in failures]
+
+
+def main() -> int:
+    code = canonical_secded_39_32()
+    sweep = DueSweep(
+        code, RecoveryStrategy.FILTER_AND_RANK, num_instructions=WINDOW
+    )
+    failures = []
+    with ObsServer(port=0) as server:
+        for benchmark in BENCHMARKS:
+            image = synthesize_benchmark(benchmark, length=IMAGE_LENGTH)
+            failures += _served_sweep(sweep, image, server)
+
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     if not failures:

@@ -9,10 +9,24 @@ counters the workers accumulate.  :func:`parallel_map` fixes both ends:
   worker metric/event aggregates are folded into the parent in that
   same submission order, so callers can concatenate chunk results and
   obtain output bit-identical to a serial run.
-- **Metrics**: each worker task runs against a freshly-reset
-  process-local registry, snapshots it afterwards, and ships the
-  snapshot home; the parent folds the snapshots into its own registry
-  with :func:`repro.obs.metrics.merge_snapshot`.
+- **One pool per process**: the first parallel call starts a
+  ``ProcessPoolExecutor`` and later calls reuse it, so a sweep that
+  calls :func:`parallel_map` once per image forks its workers once.
+  A call with another worker count, or made after the ``repro`` log
+  handlers or level changed, shuts the old pool down and starts a new
+  one (forked workers write through the handlers they inherited).  A
+  forked child forgets its parent's pool, a pool broken by a dead
+  worker is dropped, and the workers exit with the interpreter.  A
+  process started by :mod:`multiprocessing` shuts its pool down after
+  every call: its exit joins its child processes before any pool is
+  told to stop, so a live pool would hang it.
+- **Caller's state per task**: a worker outlives the call that forked
+  it, so each task runs against a fresh registry and event log, the
+  caller's energy model and event-log capacity, and a fresh context
+  carrying only the log fields bound at the call.  The task's registry
+  snapshot and event digest are therefore exactly its own delta.
+- **Metrics**: the parent folds the task snapshots into its own
+  registry with :func:`repro.obs.metrics.merge_snapshot`.
 - **Events**: worker DUE event *rings* stay process-local (parallel
   chunks would interleave the bounded ring meaninglessly), but each
   task ships a fixed-size :class:`repro.obs.events.EventDigest` that
@@ -28,19 +42,32 @@ Tracing spans are opt-in diagnostics and are not shipped back — see
 
 Workers are separate processes, so the callable and every payload must
 be picklable: pass module-level functions and plain data (codes,
-images, and patterns all qualify).  The *on_result* callback runs in
-the parent and needs no such property.
+images, and patterns all qualify).  A worker runs the program as it
+was when the pool started, so a function patched afterwards is not
+patched there.  A task function defined in ``__main__`` since the pool
+started gets a new pool (the workers could not find it by name); a
+payload whose class was defined there since then breaks the call.  The
+*on_result* callback runs in the parent and needs no such property.
 """
 
 from __future__ import annotations
 
+import contextvars
+import logging
+import multiprocessing
+import os
+import sys
+import threading
 import time
 from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, TypeVar
 
 from repro.errors import AnalysisError
+from repro.obs import energy as obs_energy
 from repro.obs import events as obs_events
+from repro.obs import logging as obs_logging
 from repro.obs import metrics as obs_metrics
 
 __all__ = ["chunk_evenly", "parallel_map"]
@@ -51,6 +78,16 @@ _R = TypeVar("_R")
 #: Callback invoked in the parent as each task completes (completion
 #: order): ``on_result(index, result, wall_seconds)``.
 OnResult = Callable[[int, Any, float], None]
+
+#: The process's worker pool and what it was started for: (worker count,
+#: ``repro`` log level, ``repro`` log handlers).
+_pool: ProcessPoolExecutor | None = None
+_pool_key: tuple = ()
+#: The names ``__main__`` held when the pool started.
+_pool_main_names: frozenset[str] = frozenset()
+#: Held for a whole parallel call: calls from several threads take turns
+#: on the one pool instead of replacing it under each other.
+_pool_lock = threading.RLock()
 
 
 def chunk_evenly(items: Sequence[_P], num_chunks: int) -> list[tuple[_P, ...]]:
@@ -75,33 +112,76 @@ def chunk_evenly(items: Sequence[_P], num_chunks: int) -> list[tuple[_P, ...]]:
     return chunks
 
 
-def _run_isolated(fn: Callable[[Any], Any], payload: Any):
-    """Worker-side wrapper: isolate obs state and snapshot the delta.
+def _shared_pool(workers: int, fn: Callable) -> ProcessPoolExecutor:
+    """The process's pool of *workers*, started or replaced as needed
+    to run *fn*."""
+    global _pool, _pool_key, _pool_main_names
+    root = logging.getLogger(obs_logging.ROOT_LOGGER)
+    key = (workers, root.level, tuple(root.handlers))
+    # A worker finds a __main__ function by name in its fork-time copy
+    # of __main__; one defined since then would break the pool.
+    unknown = getattr(fn, "__module__", None) == "__main__" and (
+        getattr(fn, "__qualname__", "").split(".")[0] not in _pool_main_names
+    )
+    if _pool is not None and (key != _pool_key or unknown):
+        _drop_pool()
+    if _pool is None:
+        _pool = ProcessPoolExecutor(max_workers=workers)
+        _pool_key = key
+        main = sys.modules.get("__main__")
+        _pool_main_names = frozenset(getattr(main, "__dict__", ()))
+    return _pool
 
-    The worker process was forked from (or spawned by) the parent, so
-    its registry and event log may hold inherited or previous-task
-    state; resetting at task entry makes the snapshot and digest
-    per-task deltas the parent can add without double counting.
+
+def _drop_pool() -> None:
+    """Shut the pool down (after its running tasks); the next call
+    starts a new one."""
+    global _pool, _pool_key
+    pool, _pool, _pool_key = _pool, None, ()
+    if pool is not None:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _forget_pool() -> None:
+    # The pool's processes and threads belong to the parent: a forked
+    # child starts its own pool if it needs one.
+    global _pool, _pool_key, _pool_lock
+    _pool, _pool_key = None, ()
+    _pool_lock = threading.RLock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _bound_call(fn: Callable[[Any], Any], payload: Any, fields: dict):
+    with obs_logging.bind(**fields):
+        return fn(payload)
+
+
+def _run_isolated(fn: Callable[[Any], Any], payload: Any, state: tuple):
+    """Worker-side wrapper: run one task with the caller's obs state.
+
+    *state* is what :func:`parallel_map` captured at the call.  The
+    task gets a fresh registry, a fresh event log of the caller's
+    capacity, the caller's energy model, and a fresh context holding
+    only the log fields bound at the call, so nothing an earlier task
+    (or the fork) left in this worker reaches the snapshot and digest,
+    which are then per-task deltas the parent can add without double
+    counting.
     Returns ``(result, metrics snapshot, event digest, wall seconds)``.
     """
-    registry = obs_metrics.get_registry()
-    registry.reset()
-    event_log = obs_events.get_event_log()
-    event_log.clear()
+    log_capacity, energy_model, fields = state
+    registry = obs_metrics.MetricsRegistry()
+    event_log = obs_events.EventLog(log_capacity)
+    obs_metrics.set_registry(registry)
+    obs_events.set_event_log(event_log)
+    obs_energy.set_energy_model(energy_model)
     started = time.perf_counter()
-    result = fn(payload)
+    result = contextvars.Context().run(_bound_call, fn, payload, fields)
     wall_seconds = time.perf_counter() - started
     digest = obs_events.EventDigest.from_log(event_log)
-    snapshot = registry.as_dict()
-    # The live-progress gauges are parent-owned: the parent advances
-    # them as tasks complete, *before* this snapshot is merged.  A
-    # forked worker inherits their registrations zeroed, and merging
-    # those zeroes back (gauges are last-wins) would clobber the
-    # in-flight progress, so they never leave the worker.
-    for name in list(snapshot):
-        if name.startswith("sweep.progress."):
-            del snapshot[name]
-    return result, snapshot, digest, wall_seconds
+    return result, registry.as_dict(), digest, wall_seconds
 
 
 def parallel_map(
@@ -121,13 +201,18 @@ def parallel_map(
     anything order-sensitive.  With ``jobs <= 1`` (or a single payload)
     the map runs in-process and metrics/events flow directly — no pool,
     no snapshot round-trip — while *on_result* still fires per payload.
+    Otherwise the tasks run on the process's shared pool of
+    ``min(jobs, len(payloads))`` workers (see the module docstring).
 
-    Failure is fast: the first task exception cancels every not-yet-
-    started future and re-raises immediately, instead of draining the
-    remaining completions first.  Tasks already executing in a worker
-    run to completion (processes cannot be preempted safely), but no
-    queued payload starts after the failure, and no worker metrics are
-    merged from a failed map.
+    Failure is fast: the first task exception (or one raised by
+    *on_result*) cancels every not-yet-started task and re-raises
+    immediately, instead of draining the remaining completions first.
+    Tasks already executing in a worker run to completion (processes
+    cannot be preempted safely), but no queued payload starts after
+    the failure, and no worker metrics are merged from a failed map.
+    A worker that dies (in this call or since the last one) breaks the
+    pool: the call raises ``BrokenProcessPool``, and the next call
+    starts a new pool.
     """
     if jobs < 1:
         raise AnalysisError(f"jobs must be >= 1, got {jobs}")
@@ -143,29 +228,39 @@ def parallel_map(
         return results
     registry = obs_metrics.get_registry()
     event_log = obs_events.get_event_log()
+    state = (
+        event_log.capacity,
+        obs_energy.get_energy_model(),
+        obs_logging.bound_fields(),
+    )
     completed: list[tuple[_R, dict, obs_events.EventDigest] | None] = [
         None
     ] * len(payloads)
-    with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-        futures = {
-            pool.submit(_run_isolated, fn, payload): index
-            for index, payload in enumerate(payloads)
-        }
-        for future in as_completed(futures):
-            index = futures[future]
-            try:
+    with _pool_lock:
+        pool = _shared_pool(min(jobs, len(payloads)), fn)
+        futures: dict = {}
+        try:
+            for index, payload in enumerate(payloads):
+                futures[pool.submit(_run_isolated, fn, payload, state)] = index
+            for future in as_completed(futures):
+                index = futures[future]
                 result, snapshot, digest, wall_seconds = future.result()
-            except BaseException:
-                # Fail fast: don't drain the remaining completions —
-                # cancel everything still queued and surface the error.
-                # (In-flight tasks finish; the pool shutdown below waits
-                # only for those, not the whole backlog.)
-                for pending in futures:
-                    pending.cancel()
-                raise
-            completed[index] = (result, snapshot, digest)
-            if on_result is not None:
-                on_result(index, result, wall_seconds)
+                completed[index] = (result, snapshot, digest)
+                if on_result is not None:
+                    on_result(index, result, wall_seconds)
+        except BaseException as error:
+            # Fail fast: don't drain the remaining completions — cancel
+            # everything still queued and surface the error.
+            for pending in futures:
+                pending.cancel()
+            if isinstance(error, BrokenProcessPool):
+                _drop_pool()
+            raise
+        finally:
+            if multiprocessing.parent_process() is not None:
+                # A multiprocessing child joins its child processes at
+                # exit before a pool is told to stop, so it keeps none.
+                _drop_pool()
     results = []
     for entry in completed:  # submission order: the deterministic merge
         assert entry is not None  # every future resolved or raised above

@@ -236,11 +236,13 @@ class DueSweep:
         into the leading window.
 
         With ``jobs > 1`` the pattern list is split into contiguous
-        chunks swept by worker processes; the merged result is
-        bit-identical to the serial one, and worker metrics (recovery
-        and op counters, histograms) plus a digest of
-        worker DUE events are aggregated into this process's registry
-        and event log.
+        chunks swept by the process's shared worker pool (started by
+        the first parallel call and reused by every later one, so a
+        sweep of many images forks its workers once); the merged result
+        is bit-identical to the serial one, and worker metrics
+        (recovery and op counters, histograms) plus a digest of worker
+        DUE events are aggregated into this process's registry and
+        event log.
 
         Progress is live either way: the ``sweep.progress.*`` gauges
         advance as each chunk *completes* (a serial run is one chunk),
@@ -355,7 +357,7 @@ def _sweep_chunk_worker(payload) -> list[PatternOutcome]:
 
     Module-level so it pickles; rebuilds the sweep (and its engine)
     from plain data because engines hold process-local metric objects
-    that must bind to the worker registry.  The code arrives without
+    that must bind to the task's registry.  The code arrives without
     its decode table, which the worker rebuilds on first use.
     """
     code, strategy, num_instructions, cache, image, patterns = payload

@@ -832,11 +832,11 @@ def merge_snapshot(
     """Fold an :meth:`MetricsRegistry.as_dict` snapshot into *registry*.
 
     This is how the process-parallel sweep aggregates worker metrics:
-    each worker resets its (fork-copied) registry, runs its task,
-    snapshots, and ships the snapshot back; the parent merges them in
-    task order.  Counters and histograms accumulate; gauges and info
-    metrics take the snapshot's value (last merge wins), which is
-    deterministic because the parent merges in submission order.
+    each worker task runs against a fresh registry, snapshots it, and
+    ships the snapshot back; the parent merges them in task order.
+    Counters and histograms accumulate; gauges and info metrics take
+    the snapshot's value (last merge wins), which is deterministic
+    because the parent merges in submission order.
     """
     registry = registry if registry is not None else get_registry()
     for name in sorted(snapshot):
