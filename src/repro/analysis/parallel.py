@@ -16,10 +16,10 @@ counters the workers accumulate.  :func:`parallel_map` fixes both ends:
   handlers or level changed, shuts the old pool down and starts a new
   one (forked workers write through the handlers they inherited).  A
   forked child forgets its parent's pool, a pool broken by a dead
-  worker is dropped, and the workers exit with the interpreter.  A
-  process started by :mod:`multiprocessing` shuts its pool down after
-  every call: its exit joins its child processes before any pool is
-  told to stop, so a live pool would hang it.
+  worker is replaced by the next call, and the workers exit with the
+  interpreter.  A process started by :mod:`multiprocessing` shuts its
+  pool down after every call: its exit joins its child processes
+  before any pool is told to stop, so a live pool would hang it.
 - **Caller's state per task**: a worker outlives the call that forked
   it, so each task runs against a fresh registry and event log, the
   caller's energy model and event-log capacity, and a fresh context
@@ -42,12 +42,11 @@ Tracing spans are opt-in diagnostics and are not shipped back — see
 
 Workers are separate processes, so the callable and every payload must
 be picklable: pass module-level functions and plain data (codes,
-images, and patterns all qualify).  A worker runs the program as it
-was when the pool started, so a function patched afterwards is not
-patched there.  A task function defined in ``__main__`` since the pool
-started gets a new pool (the workers could not find it by name); a
-payload whose class was defined there since then breaks the call.  The
-*on_result* callback runs in the parent and needs no such property.
+images, and patterns all qualify).  Tasks run the program as it was
+when the pool started: a function patched since then is not patched in
+the workers, and one defined since then (in ``__main__``, say) cannot
+be found there, which breaks the call; the next call starts a new pool.
+The *on_result* callback runs in the parent and needs no such property.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ import contextvars
 import logging
 import multiprocessing
 import os
-import sys
 import threading
 import time
 from collections.abc import Callable, Sequence
@@ -83,8 +81,6 @@ OnResult = Callable[[int, Any, float], None]
 #: ``repro`` log level, ``repro`` log handlers).
 _pool: ProcessPoolExecutor | None = None
 _pool_key: tuple = ()
-#: The names ``__main__`` held when the pool started.
-_pool_main_names: frozenset[str] = frozenset()
 #: Held for a whole parallel call: calls from several threads take turns
 #: on the one pool instead of replacing it under each other.
 _pool_lock = threading.RLock()
@@ -112,24 +108,16 @@ def chunk_evenly(items: Sequence[_P], num_chunks: int) -> list[tuple[_P, ...]]:
     return chunks
 
 
-def _shared_pool(workers: int, fn: Callable) -> ProcessPoolExecutor:
-    """The process's pool of *workers*, started or replaced as needed
-    to run *fn*."""
-    global _pool, _pool_key, _pool_main_names
+def _shared_pool(workers: int) -> ProcessPoolExecutor:
+    """The process's pool of *workers*, started or replaced as needed."""
+    global _pool, _pool_key
     root = logging.getLogger(obs_logging.ROOT_LOGGER)
     key = (workers, root.level, tuple(root.handlers))
-    # A worker finds a __main__ function by name in its fork-time copy
-    # of __main__; one defined since then would break the pool.
-    unknown = getattr(fn, "__module__", None) == "__main__" and (
-        getattr(fn, "__qualname__", "").split(".")[0] not in _pool_main_names
-    )
-    if _pool is not None and (key != _pool_key or unknown):
+    if _pool is not None and key != _pool_key:
         _drop_pool()
     if _pool is None:
         _pool = ProcessPoolExecutor(max_workers=workers)
         _pool_key = key
-        main = sys.modules.get("__main__")
-        _pool_main_names = frozenset(getattr(main, "__dict__", ()))
     return _pool
 
 
@@ -210,9 +198,10 @@ def parallel_map(
     Tasks already executing in a worker run to completion (processes
     cannot be preempted safely), but no queued payload starts after
     the failure, and no worker metrics are merged from a failed map.
-    A worker that dies (in this call or since the last one) breaks the
-    pool: the call raises ``BrokenProcessPool``, and the next call
-    starts a new pool.
+    A worker that dies during the call breaks the pool: the call raises
+    ``BrokenProcessPool``, and the next call starts a new pool.  A call
+    that finds the pool already broken (a worker died between calls)
+    starts a new one before any of its tasks is queued.
     """
     if jobs < 1:
         raise AnalysisError(f"jobs must be >= 1, got {jobs}")
@@ -236,12 +225,24 @@ def parallel_map(
     completed: list[tuple[_R, dict, obs_events.EventDigest] | None] = [
         None
     ] * len(payloads)
+    workers = min(jobs, len(payloads))
     with _pool_lock:
-        pool = _shared_pool(min(jobs, len(payloads)), fn)
+        pool = _shared_pool(workers)
         futures: dict = {}
         try:
             for index, payload in enumerate(payloads):
-                futures[pool.submit(_run_isolated, fn, payload, state)] = index
+                try:
+                    future = pool.submit(_run_isolated, fn, payload, state)
+                except BrokenProcessPool:
+                    if futures:
+                        raise
+                    # A worker died while the pool sat idle (an OOM
+                    # kill, a Ctrl-C that reached the workers too).
+                    # Nothing of this call has run: start a fresh pool.
+                    _drop_pool()
+                    pool = _shared_pool(workers)
+                    future = pool.submit(_run_isolated, fn, payload, state)
+                futures[future] = index
             for future in as_completed(futures):
                 index = futures[future]
                 result, snapshot, digest, wall_seconds = future.result()

